@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz bench-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-scale bench-gate bench-server bench-controller baseline bench-warmstart clean
+.PHONY: ci vet build test race fuzz bench-smoke trace-smoke trace-golden figures-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-scale bench-gate bench-server bench-controller baseline bench-warmstart clean
 
 ## ci: everything the driver checks — vet, build, race-enabled tests, a
 ## short fuzz pass over the wire codecs, a one-shot large-scale benchmark
-## smoke run, the telemetry pipeline smoke test, the snapshot round-trip
-## smoke test, a short 10k-node run on the sparse sharded engine, the
+## smoke run, the telemetry pipeline smoke test, the figure-runner golden
+## (cold and warm-started), the snapshot round-trip smoke test, a short 10k-node run on the sparse sharded engine, the
 ## controller-layer smoke (four-way chaos with recovery asserted), the
 ## simulation-service end-to-end smoke, the crash-recovery smoke, and the
 ## gateway fault-tolerance smoke.
-ci: vet build race fuzz bench-smoke trace-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
+ci: vet build race fuzz bench-smoke trace-smoke figures-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +55,20 @@ trace-smoke:
 trace-golden:
 	$(GO) run ./cmd/digs-bench -fig 4 -smoke -seed 42 -trace $(TRACE_SMOKE_JSONL) >/dev/null
 	$(GO) run ./cmd/digs-trace -per-flow $(TRACE_SMOKE_JSONL) > testdata/trace_smoke_golden.txt
+
+## figures-smoke: run every paper-figure runner at interactive scale and
+## diff the printed series against the checked-in golden — once cold
+## (populating a snapshot cache) and once warm-started from that cache, so
+## the formation cache of Figures 9-11 is held to the same bytes.
+FIGURES_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-figures-smoke
+figures-smoke:
+	rm -rf $(FIGURES_SMOKE_DIR) && mkdir -p $(FIGURES_SMOKE_DIR)
+	$(GO) build -o $(FIGURES_SMOKE_DIR)/digs-bench ./cmd/digs-bench
+	$(FIGURES_SMOKE_DIR)/digs-bench -fig all -smoke -seed 1 -snap-cache $(FIGURES_SMOKE_DIR)/cache \
+		| diff -u testdata/figures_smoke_golden.txt -
+	$(FIGURES_SMOKE_DIR)/digs-bench -fig all -smoke -seed 1 -snap-cache $(FIGURES_SMOKE_DIR)/cache \
+		| diff -u testdata/figures_smoke_golden.txt -
+	@echo figures-smoke: OK
 
 ## snap-smoke: prove checkpoint/restore bit-identity across processes —
 ## snapshot a half-formed network, resume it for 2000 more slots, and
