@@ -307,9 +307,6 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	if dumpNode > 0 {
-		if sc.Schedule == nil {
-			return nil, fmt.Errorf("-dump-schedule is not supported for -protocol %s", opts.protocol)
-		}
 		return nil, dumpSchedule(w, nw, sc.Schedule, dumpNode)
 	}
 

@@ -163,7 +163,7 @@ type AdaptiveStack struct {
 	childCells    map[int64]topology.NodeID
 }
 
-var _ mac.Protocol = (*AdaptiveStack)(nil)
+var _ mac.Stack = (*AdaptiveStack)(nil)
 
 // NewAdaptiveStack builds an adaptive stack for one node.
 func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, rng *rand.Rand) (*AdaptiveStack, error) {
@@ -197,17 +197,31 @@ func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, rng *
 // Router exposes the RPL state for experiments and tests.
 func (s *AdaptiveStack) Router() *rpl.Router { return s.router }
 
+// Joined implements mac.Stack: the node is in the DODAG (roots always).
+func (s *AdaptiveStack) Joined() bool { return s.router.Joined() }
+
+// Parents implements mac.Stack. RPL keeps a single preferred parent, so
+// the backup is always 0, like Orchestra.
+func (s *AdaptiveStack) Parents() (best, second topology.NodeID) { return s.router.Parent(), 0 }
+
+// Neighbors implements mac.Stack.
+func (s *AdaptiveStack) Neighbors() int { return s.router.Neighbors() }
+
+// SetRouteHook implements mac.Stack: the hook fires on every preferred-
+// parent switch, and survives Reset.
+func (s *AdaptiveStack) SetRouteHook(fn mac.RouteHook) { s.router.OnRouteChange = fn }
+
 // TxCells exposes the current transmit-cell budget for tests and probes.
 func (s *AdaptiveStack) TxCells() int { return s.txCells }
 
 // Reset implements mac.Resetter: back to the just-constructed state. The
-// installed OnParentChange callback, the queue-length hook and the
+// installed OnRouteChange callback, the queue-length hook and the
 // configuration survive, like the other stacks.
 func (s *AdaptiveStack) Reset() {
-	onChange := s.router.OnParentChange
+	onChange := s.router.OnRouteChange
 	router := rpl.NewRouter(s.id, s.isRoot, sim.SlotsFor(s.cfg.NeighborTimeout),
 		s.cfg.RankGranularity)
-	router.OnParentChange = onChange
+	router.OnRouteChange = onChange
 	s.router = router
 	s.tr, _ = trickle.NewTimer(s.cfg.Trickle, s.rng)
 	s.wantDIO = false

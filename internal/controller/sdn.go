@@ -337,8 +337,8 @@ type SDNStack struct {
 
 	ctrlQ []sdnCtrlEntry
 
-	// onParentChange reports data-plane route changes to telemetry.
-	onParentChange func(asn sim.ASN, parent topology.NodeID)
+	// onRouteChange reports data-plane route changes to telemetry.
+	onRouteChange mac.RouteHook
 
 	// --- controller-only state (nil maps on every other node) ---
 	reports       map[topology.NodeID]sdnReportEntry
@@ -348,7 +348,7 @@ type SDNStack struct {
 	lastSent      map[topology.NodeID]sdnNodeConfig
 }
 
-var _ mac.Protocol = (*SDNStack)(nil)
+var _ mac.Stack = (*SDNStack)(nil)
 
 // SDNReportNeighbor is one link observation inside a report.
 type SDNReportNeighbor struct {
@@ -407,10 +407,23 @@ func (s *SDNStack) Controller() bool { return s.controller() }
 // Parent exposes the configured data-plane parent.
 func (s *SDNStack) Parent() topology.NodeID { return s.parent }
 
-// Configured reports whether the node holds a routed data-plane state:
-// access points sink traffic by construction, everyone else needs a
-// controller-assigned parent.
-func (s *SDNStack) Configured() bool { return s.isAP || s.parent != 0 }
+// Joined implements mac.Stack: the node holds a routed data-plane state.
+// Access points sink traffic by construction; everyone else needs a
+// controller-assigned parent, so the join count only rises once the
+// controller has collected reports and disseminated configurations —
+// in-band convergence, not free.
+func (s *SDNStack) Joined() bool { return s.isAP || s.parent != 0 }
+
+// Parents implements mac.Stack. The controller assigns a single parent
+// per node, so the backup is always 0, like Orchestra.
+func (s *SDNStack) Parents() (best, second topology.NodeID) { return s.parent, 0 }
+
+// Neighbors implements mac.Stack: the links the node measures and reports.
+func (s *SDNStack) Neighbors() int { return len(s.rss) }
+
+// SetRouteHook implements mac.Stack: the hook fires on controller
+// reroutes and on dead-parent drops, and survives Reset.
+func (s *SDNStack) SetRouteHook(fn mac.RouteHook) { s.onRouteChange = fn }
 
 // KnownReports exposes how many fresh node reports the controller holds
 // (0 on non-controller nodes).
@@ -731,8 +744,8 @@ func (s *SDNStack) applyConfig(asn sim.ASN, payload []byte) {
 		s.childCells[sdnCell(c, s.cfg.DataFrameLen)] = c
 	}
 	s.consecParentFails = 0
-	if parent != oldParent && s.onParentChange != nil {
-		s.onParentChange(asn, parent)
+	if parent != oldParent && s.onRouteChange != nil {
+		s.onRouteChange(asn, parent, 0)
 	}
 }
 
@@ -748,8 +761,8 @@ func (s *SDNStack) loseParent(asn sim.ASN) {
 	delete(s.hops, dead)
 	s.nextReport = asn // alarm: report at the next maintenance tick
 	s.nextMaintain = asn
-	if s.onParentChange != nil {
-		s.onParentChange(asn, 0)
+	if s.onRouteChange != nil {
+		s.onRouteChange(asn, 0, 0)
 	}
 }
 

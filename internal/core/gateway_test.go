@@ -32,7 +32,7 @@ func TestSendCommandErrorNamesTheDevice(t *testing.T) {
 // TestBroadcastBulletinNoAPs exercises the defensive branch for a gateway
 // wired onto a network without any access point.
 func TestBroadcastBulletinNoAPs(t *testing.T) {
-	gw := NewGateway(&Network{Nodes: make([]*mac.Node, 1)})
+	gw := NewGateway(&Network{Network: &mac.Network{Nodes: make([]*mac.Node, 1)}})
 	err := gw.BroadcastBulletin([]byte("hello"))
 	if err == nil {
 		t.Fatal("BroadcastBulletin succeeded without an access point")

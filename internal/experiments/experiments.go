@@ -1,7 +1,8 @@
 // Package experiments reproduces the paper's evaluation: one runner per
 // figure of Section VII (plus the Figure 3/4/5 empirical study of Section
 // IV). Each runner builds the relevant topology, boots DiGS and/or the
-// Orchestra baseline on the shared simulator, applies the figure's
+// Orchestra baseline through scenario.Build — the one construction path
+// the CLIs, the server and the benchmark share — applies the figure's
 // interference or failure scenario, and returns the series the figure
 // plots.
 package experiments
@@ -14,201 +15,109 @@ import (
 
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/invariant"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
-	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// Protocol selects the stack under test.
-type Protocol int
+// Protocol is the registered scenario stack under test (see
+// scenario.RegisteredStacks).
+type Protocol string
 
 // Protocols.
 const (
 	// DiGS is the paper's contribution.
-	DiGS Protocol = iota + 1
+	DiGS Protocol = snapshot.ProtocolDiGS
 	// Orchestra is the RPL + Orchestra baseline.
-	Orchestra
+	Orchestra Protocol = snapshot.ProtocolOrchestra
 )
+
+// figureNames are the names the figures print; other stacks print their
+// registered name.
+var figureNames = map[Protocol]string{DiGS: "DiGS", Orchestra: "Orchestra"}
 
 // String implements fmt.Stringer.
 func (p Protocol) String() string {
-	switch p {
-	case DiGS:
-		return "DiGS"
-	case Orchestra:
-		return "Orchestra"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
+	if name, ok := figureNames[p]; ok {
+		return name
 	}
+	return string(p)
 }
 
-// stackNet is the protocol-independent view the runners need. Prober and
-// Healer are promoted from the embedded stack networks, so the invariant
-// monitor can ride any of them.
-type stackNet interface {
-	JoinedCount() int
-	OnDeliver(fn func(sim.ASN, *sim.Frame))
-	SetTracer(t telemetry.Tracer)
-	MACNode(i int) *mac.Node
-	JoinTime(i int) (sim.ASN, bool)
-	ParentChangesTotal() int64
-	ParentChangesOf(ids []topology.NodeID) int64
-	Prober(nw *sim.Network) invariant.Prober
-	Healer() func(id topology.NodeID, asn sim.ASN)
-}
-
-type digsNet struct{ *core.Network }
-
-func (d digsNet) MACNode(i int) *mac.Node { return d.Nodes[i] }
-func (d digsNet) JoinTime(i int) (sim.ASN, bool) {
-	return d.Stacks[i].Router().FirstParentAt()
-}
-func (d digsNet) ParentChangesTotal() int64 {
-	var total int64
-	for _, s := range d.Stacks[1:] {
-		total += s.Router().ParentChanges()
+// params selects the protocol on the topology's network. DiGS schedules
+// three attempts per slotframe where Orchestra has one, so equal-time
+// retry persistence gives it a 3x MAC attempt budget — unless digsCfg
+// overrides its configuration (ablations), which keeps the default budget.
+func params(proto Protocol, topo *topology.Topology, seed int64, digsCfg *core.Config) scenario.Params {
+	p := scenario.Params{Topology: topo, Protocol: string(proto), Seed: seed, DiGSConfig: digsCfg}
+	if proto == DiGS && digsCfg == nil {
+		p.MacBoost = 3
 	}
-	return total
+	return p
 }
 
-func (d digsNet) ParentChangesOf(ids []topology.NodeID) int64 {
-	var total int64
-	for _, id := range ids {
-		total += d.Stacks[id].Router().ParentChanges()
+// routeHistory is the per-node route history the DiGS and RPL stacks
+// keep: when a node first chose a parent (Figure 13) and how often it has
+// switched since (Figures 4 and 5).
+type routeHistory interface {
+	FirstParentAt() (sim.ASN, bool)
+	ParentChanges() int64
+}
+
+// history returns node i's route history, or an error naming the stack
+// when it keeps none.
+func history(sc *scenario.Scenario, i int) (routeHistory, error) {
+	h, ok := sc.Stack(i).(routeHistory)
+	if !ok {
+		return nil, fmt.Errorf("experiments: stack %q keeps no route history", sc.Params.Protocol)
 	}
-	return total
-}
-
-type orchNet struct{ *orchestra.Network }
-
-func (o orchNet) MACNode(i int) *mac.Node { return o.Nodes[i] }
-func (o orchNet) JoinTime(i int) (sim.ASN, bool) {
-	return o.Stacks[i].Router().FirstParentAt()
-}
-func (o orchNet) ParentChangesTotal() int64 {
-	var total int64
-	for _, s := range o.Stacks[1:] {
-		total += s.Router().ParentChanges()
-	}
-	return total
-}
-
-func (o orchNet) ParentChangesOf(ids []topology.NodeID) int64 {
-	var total int64
-	for _, id := range ids {
-		total += o.Stacks[id].Router().ParentChanges()
-	}
-	return total
-}
-
-// buildNetwork attaches the chosen protocol stack to a fresh network.
-func buildNetwork(p Protocol, topo *topology.Topology, seed int64) (*sim.Network, stackNet, error) {
-	nw := sim.NewNetwork(topo, seed)
-	switch p {
-	case DiGS:
-		// DiGS schedules three attempts per slotframe where Orchestra has
-		// one, so equal-time retry persistence means a 3x attempt budget.
-		macCfg := mac.DefaultConfig()
-		macCfg.MaxTxPerPacket *= 3
-		net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), macCfg, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nw, digsNet{net}, nil
-	case Orchestra:
-		net, err := orchestra.Build(nw, orchestra.DefaultConfig(), mac.DefaultConfig(), seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nw, orchNet{net}, nil
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown protocol %d", p)
-	}
+	return h, nil
 }
 
 // converge runs the network until every node has joined (or the budget
 // runs out). It returns an error when convergence fails: the experiment
 // would otherwise measure a half-formed network.
-func converge(nw *sim.Network, net stackNet, budget time.Duration) error {
-	return convergeFraction(nw, net, budget, 1.0)
+func converge(sc *scenario.Scenario, budget time.Duration) error {
+	return convergeFraction(sc, budget, 1.0)
 }
 
 // convergeFraction accepts partial convergence: at least the given
 // fraction of nodes joined (large sparse deployments can have corner
 // stragglers that take tens of minutes, just as physical ones do).
-func convergeFraction(nw *sim.Network, net stackNet, budget time.Duration, frac float64) error {
-	topo := nw.Topology()
-	want := int(math.Ceil(frac * float64(topo.N())))
-	if _, ok := nw.RunUntil(sim.SlotsFor(budget), func() bool {
-		return net.JoinedCount() >= want
+func convergeFraction(sc *scenario.Scenario, budget time.Duration, frac float64) error {
+	n := sc.Params.Topology.N()
+	want := int(math.Ceil(frac * float64(n)))
+	if _, ok := sc.NW.RunUntil(sim.SlotsFor(budget), func() bool {
+		return sc.Joined() >= want
 	}); !ok {
 		return fmt.Errorf("experiments: only %d/%d nodes joined within %v (want %d)",
-			net.JoinedCount(), topo.N(), budget, want)
+			sc.Joined(), n, budget, want)
 	}
 	return nil
 }
 
-// warmConverge brings a freshly built, never-stepped network to the
+// warmConverge brings a freshly built, never-stepped scenario to the
 // converged + settled state a measurement campaign starts from. With a
 // cache directory it restores a matching snapshot (see internal/snapshot)
 // instead of re-running formation, storing one on miss; continuing from
 // the restored state is bit-identical to having formed inline, so cached
 // and uncached campaigns produce the same figures.
-func warmConverge(cacheDir string, nw *sim.Network, net stackNet, seed int64,
-	cfgHash uint64, settle time.Duration) error {
-	form := func() error {
-		if err := converge(nw, net, 240*time.Second); err != nil {
-			return err
+func warmConverge(sc *scenario.Scenario, cacheDir string, settle time.Duration) error {
+	var cache *snapshot.Cache
+	if cacheDir != "" {
+		cache = &snapshot.Cache{Dir: cacheDir}
+	}
+	label := fmt.Sprintf("formed+%ds", int(settle.Seconds()))
+	_, _, err := sc.WarmStart(cache, label, func() (map[string]string, error) {
+		if err := converge(sc, 240*time.Second); err != nil {
+			return nil, err
 		}
-		nw.Run(sim.SlotsFor(settle))
-		return nil
-	}
-	var take func(snapshot.Meta) (*snapshot.Snapshot, error)
-	var restore func(*snapshot.Snapshot) error
-	var proto string
-	switch n := net.(type) {
-	case digsNet:
-		proto = snapshot.ProtocolDiGS
-		take = func(m snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeDiGS(m, nw, n.Network) }
-		restore = func(s *snapshot.Snapshot) error { return s.RestoreDiGS(nw, n.Network) }
-	case orchNet:
-		proto = snapshot.ProtocolOrchestra
-		take = func(m snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeOrchestra(m, nw, n.Network) }
-		restore = func(s *snapshot.Snapshot) error { return s.RestoreOrchestra(nw, n.Network) }
-	}
-	if cacheDir == "" || take == nil {
-		return form()
-	}
-	cache := &snapshot.Cache{Dir: cacheDir}
-	key := snapshot.Key{
-		Topology:   nw.Topology().Name,
-		Protocol:   proto,
-		Seed:       seed,
-		ConfigHash: cfgHash,
-		Label:      fmt.Sprintf("formed+%ds", int(settle.Seconds())),
-	}
-	snap, err := cache.Load(key)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		return restore(snap)
-	}
-	if err := form(); err != nil {
-		return err
-	}
-	snap, err = take(snapshot.Meta{
-		Topology: key.Topology, Seed: seed, ConfigHash: cfgHash, Label: key.Label,
+		sc.NW.Run(sim.SlotsFor(settle))
+		return nil, nil
 	})
-	if err != nil {
-		return err
-	}
-	return cache.Store(key, snap)
+	return err
 }
 
 // netStats sums MAC counters across all nodes.
@@ -218,10 +127,10 @@ type netStats struct {
 	delivered int64
 }
 
-func statsSnapshot(net stackNet, n int) netStats {
+func statsSnapshot(sc *scenario.Scenario, n int) netStats {
 	var s netStats
 	for i := 1; i <= n; i++ {
-		st := net.MACNode(i).Stats()
+		st := sc.MACNode(i).Stats()
 		s.energyJ += st.EnergyJoules
 		s.radioOn += st.RadioOnTime
 		s.delivered += st.SinkDelivered
@@ -261,8 +170,8 @@ type FlowSetOptions struct {
 // runFlowSets runs a sequence of flow sets on an already-converged
 // network, one after another (the network stays up, as a real deployment
 // would), and returns one result per flow set.
-func runFlowSets(nw *sim.Network, net stackNet, opts FlowSetOptions) ([]FlowSetResult, error) {
-	topo := nw.Topology()
+func runFlowSets(sc *scenario.Scenario, opts FlowSetOptions) ([]FlowSetResult, error) {
+	nw, topo := sc.NW, sc.Params.Topology
 	rng := rand.New(rand.NewSource(opts.Seed*31 + 7))
 	results := make([]FlowSetResult, 0, opts.FlowSets)
 
@@ -280,7 +189,7 @@ func runFlowSets(nw *sim.Network, net stackNet, opts FlowSetOptions) ([]FlowSetR
 		}
 
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
+		sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
 			col.Delivered(f.FlowID, f.Seq, asn)
 		})
 		// Sequence numbers must be unique across windows: the MAC's
@@ -289,25 +198,25 @@ func runFlowSets(nw *sim.Network, net stackNet, opts FlowSetOptions) ([]FlowSetR
 		flows.Schedule(nw, fset, opts.PacketsPerFlow, func(f flows.Flow, seq uint16, asn sim.ASN) {
 			seq += seqBase
 			col.Sent(f.ID, seq, asn)
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 			})
 		})
 
-		before := statsSnapshot(net, topo.N())
+		before := statsSnapshot(sc, topo.N())
 		window := opts.PacketPeriod*time.Duration(opts.PacketsPerFlow) + opts.Drain
 		startASN := nw.ASN()
 		nw.Run(sim.SlotsFor(window))
-		after := statsSnapshot(net, topo.N())
+		after := statsSnapshot(sc, topo.N())
 		elapsed := sim.TimeAt(nw.ASN() - startASN)
-		net.OnDeliver(nil)
+		sc.OnDeliver(nil)
 
 		// Quiesce: drain every forwarding queue before the next flow set
 		// so one set's congestion does not bleed into the next (the
 		// paper's flow sets are independent measurements).
 		nw.RunUntil(sim.SlotsFor(3*time.Minute), func() bool {
 			for i := 1; i <= topo.N(); i++ {
-				if net.MACNode(i).QueueLen() > 0 {
+				if sc.MACNode(i).QueueLen() > 0 {
 					return false
 				}
 			}

@@ -222,8 +222,8 @@ func TestProtocolString(t *testing.T) {
 	if DiGS.String() != "DiGS" || Orchestra.String() != "Orchestra" {
 		t.Fatal("protocol names wrong")
 	}
-	if Protocol(99).String() == "" {
-		t.Fatal("unknown protocol has empty name")
+	if Protocol("whart").String() != "whart" {
+		t.Fatal("other stacks must print their registered name")
 	}
 }
 

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -108,38 +105,15 @@ func RunFailureSingle(proto Protocol, opts FailureOptions) (*FailureResult, erro
 func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 	digsCfg *core.Config, cacheDir string) (*FailureResult, error) {
 	out := &FailureResult{}
-	topo := testbedATopo()
-	nw := sim.NewNetwork(topo, seed)
-	var net stackNet
-	var cfgHash uint64
-	switch {
-	case proto == DiGS:
-		cfg := core.DefaultConfig(topo.NumAPs)
-		macCfg := mac.DefaultConfig()
-		if digsCfg != nil {
-			cfg = *digsCfg
-		} else {
-			// Equal-time retry persistence: see buildNetwork.
-			macCfg.MaxTxPerPacket *= 3
-		}
-		cn, err := core.Build(nw, cfg, macCfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = digsNet{cn}, snapshot.HashConfig(cfg, macCfg)
-	case proto == Orchestra:
-		cfg, macCfg := orchestra.DefaultConfig(), mac.DefaultConfig()
-		on, err := orchestra.Build(nw, cfg, macCfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = orchNet{on}, snapshot.HashConfig(cfg, macCfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %d", proto)
-	}
-	if err := warmConverge(cacheDir, nw, net, seed, cfgHash, 60*time.Second); err != nil {
+	topo := topology.TestbedA()
+	sc, err := scenario.Build(params(proto, topo, seed, digsCfg))
+	if err != nil {
 		return nil, err
 	}
+	if err := warmConverge(sc, cacheDir, 60*time.Second); err != nil {
+		return nil, err
+	}
+	nw := sc.NW
 
 	fset := flows.FixedSet(topo.SuggestedSources, 5*time.Second)
 	sources := map[topology.NodeID]bool{}
@@ -152,22 +126,22 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 		// the forwarding-count deltas to find the router currently
 		// carrying the most flow traffic (lifetime counters go stale once
 		// earlier victims reshape the graph).
-		fwdBefore := forwardedCounts(net, topo.N())
+		fwdBefore := forwardedCounts(sc, topo.N())
 		primeBase := uint16(50000 + v*100)
 		flows.Schedule(nw, fset, 6, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: primeBase + seq, BornASN: asn,
 			})
 		})
 		nw.Run(sim.SlotsFor(45 * time.Second))
-		victim := pickVictimByDelta(nw, net, sources, fwdBefore)
+		victim := pickVictimByDelta(sc, sources, fwdBefore)
 		if victim == 0 {
 			break // no further field-device routers to kill
 		}
 		nw.Fail(victim)
 
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
+		sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 		const packets = 12
 		// Unique sequence range per victim window (duplicate suppression
 		// is end-to-end on (origin, flow, seq)).
@@ -175,15 +149,15 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 		flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
 			seq += seqBase
 			col.Sent(f.ID, seq, asn)
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 			})
 		})
-		before := statsSnapshot(net, topo.N())
+		before := statsSnapshot(sc, topo.N())
 		start := nw.ASN()
 		nw.Run(sim.SlotsFor(5*time.Second*packets + 15*time.Second))
-		after := statsSnapshot(net, topo.N())
-		net.OnDeliver(nil)
+		after := statsSnapshot(sc, topo.N())
+		sc.OnDeliver(nil)
 
 		for _, f := range fset {
 			pdr := col.FlowPDR(f.ID)
@@ -204,25 +178,25 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 }
 
 // forwardedCounts snapshots every node's lifetime forwarding counter.
-func forwardedCounts(net stackNet, n int) []int64 {
+func forwardedCounts(sc *scenario.Scenario, n int) []int64 {
 	out := make([]int64, n+1)
 	for i := 1; i <= n; i++ {
-		out[i] = net.MACNode(i).Stats().Forwarded
+		out[i] = sc.MACNode(i).Stats().Forwarded
 	}
 	return out
 }
 
 // pickVictim finds the field device that forwarded the most traffic so far
 // (the biggest routing-graph router that is not itself a source).
-func pickVictim(nw *sim.Network, net stackNet, sources map[topology.NodeID]bool) topology.NodeID {
-	return pickVictimByDelta(nw, net, sources, make([]int64, nw.Topology().N()+1))
+func pickVictim(sc *scenario.Scenario, sources map[topology.NodeID]bool) topology.NodeID {
+	return pickVictimByDelta(sc, sources, make([]int64, sc.Params.Topology.N()+1))
 }
 
 // pickVictimByDelta finds the field device whose forwarding counter grew
 // the most since the snapshot.
-func pickVictimByDelta(nw *sim.Network, net stackNet, sources map[topology.NodeID]bool,
+func pickVictimByDelta(sc *scenario.Scenario, sources map[topology.NodeID]bool,
 	before []int64) topology.NodeID {
-	topo := nw.Topology()
+	nw, topo := sc.NW, sc.Params.Topology
 	var best topology.NodeID
 	var bestFwd int64 = -1
 	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
@@ -230,7 +204,7 @@ func pickVictimByDelta(nw *sim.Network, net stackNet, sources map[topology.NodeI
 		if sources[id] || nw.Failed(id) {
 			continue
 		}
-		if fwd := net.MACNode(i).Stats().Forwarded - before[i]; fwd > bestFwd {
+		if fwd := sc.MACNode(i).Stats().Forwarded - before[i]; fwd > bestFwd {
 			best, bestFwd = id, fwd
 		}
 	}
@@ -244,19 +218,20 @@ func pickVictimByDelta(nw *sim.Network, net stackNet, sources map[topology.NodeI
 // dies while packet 34 is in flight; the result records which of packets
 // 30..40 each flow delivered.
 func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
-	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	topo := topology.TestbedA()
+	sc, err := scenario.Build(params(proto, topo, seed, nil))
 	if err != nil {
 		return nil, err
 	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	if err := converge(sc, 240*time.Second); err != nil {
 		return nil, err
 	}
+	nw := sc.NW
 	nw.Run(sim.SlotsFor(60 * time.Second))
 
 	const period = 5 * time.Second
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
+	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, period)
 	sources := map[topology.NodeID]bool{}
 	for _, f := range fset {
@@ -266,7 +241,7 @@ func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	base := nw.ASN()
 	flows.Schedule(nw, fset, totalPackets, func(f flows.Flow, seq uint16, asn sim.ASN) {
 		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 		})
 	})
@@ -274,13 +249,13 @@ func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	// Warm the forwarding statistics on the early packets, then kill the
 	// busiest router just before packet 33 is generated.
 	nw.At(base+sim.SlotsFor(period)*33-10, func() {
-		if v := pickVictim(nw, net, sources); v != 0 {
+		if v := pickVictim(sc, sources); v != 0 {
 			nw.Fail(v)
 		}
 	})
 
 	nw.Run(sim.SlotsFor(period*totalPackets + 20*time.Second))
-	net.OnDeliver(nil)
+	sc.OnDeliver(nil)
 
 	out := &MicrobenchResult{
 		Delivered: make(map[uint16]map[uint16]bool, len(fset)),

@@ -10,6 +10,7 @@ import (
 	"github.com/digs-net/digs/internal/interference"
 	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/metrics"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
@@ -111,16 +112,17 @@ const repairBudget = 150 * time.Second
 
 func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	invariants bool) (RepairResult, error) {
-	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	topo := topology.TestbedA()
+	sc, err := scenario.Build(params(proto, topo, seed, nil))
 	if err != nil {
 		return RepairResult{}, err
 	}
+	nw := sc.NW
 	if tr != nil {
-		net.SetTracer(tr)
+		sc.SetTracer(tr)
 		telemetry.AttachSim(nw, tr)
 	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	if err := converge(sc, 240*time.Second); err != nil {
 		return RepairResult{}, err
 	}
 	// Let routing settle before the disturbance.
@@ -131,13 +133,13 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	// being written.
 	var mon *invariant.Monitor
 	if invariants {
-		mon = invariant.New(invariant.Config{Emit: tr, Heal: net.Healer()})
+		mon = invariant.New(invariant.Config{Emit: tr, Heal: sc.Healer})
 		var chain telemetry.Tracer = mon
 		if tr != nil {
 			chain = telemetry.Multi(tr, mon)
 		}
-		net.SetTracer(chain)
-		invariant.Attach(nw, mon, net.Prober(nw), 0)
+		sc.SetTracer(chain)
+		invariant.Attach(nw, mon, sc.Prober, 0)
 	}
 
 	// Arm the jammers to start now.
@@ -151,12 +153,12 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 
 	// Traffic during the repair: the paper's 8 flows at 5 s period.
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
+	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, 5*time.Second)
 	packets := int(repairBudget / (5 * time.Second))
 	flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
 		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 		})
 	})
@@ -164,30 +166,33 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	// Watch routing churn among the nodes the jammers actually disturb:
 	// the repair ends when their parent changes stop. (Network-wide
 	// counters would extend the repair with unrelated Trickle noise.)
-	cohort := jamCohort(nw, jammerCount)
+	cohort, err := cohortHistory(sc, jamCohort(nw, jammerCount))
+	if err != nil {
+		return RepairResult{}, err
+	}
 	windowPolls := int(repairStabilityWindow / time.Second)
-	history := []int64{net.ParentChangesOf(cohort)}
+	churn := []int64{parentChanges(cohort)}
 	repair := repairBudget // censored at the budget if churn never calms
 	for nw.ASN() < jamStart+sim.SlotsFor(repairBudget) {
 		nw.Run(100) // poll once per second
-		history = append(history, net.ParentChangesOf(cohort))
-		if len(history) <= windowPolls {
+		churn = append(churn, parentChanges(cohort))
+		if len(churn) <= windowPolls {
 			continue
 		}
 		// Repaired when the disturbed region's routing churn has calmed
 		// to at most one change per stability window (under sustained
 		// jamming the estimators keep micro-adjusting, so demanding total
 		// silence would never terminate).
-		recent := history[len(history)-1] - history[len(history)-1-windowPolls]
+		recent := churn[len(churn)-1] - churn[len(churn)-1-windowPolls]
 		if recent <= 1 {
 			repair = sim.TimeAt(nw.ASN()-jamStart) - repairStabilityWindow
 			break
 		}
 	}
-	net.OnDeliver(nil)
+	sc.OnDeliver(nil)
 
 	if tr != nil {
-		net.SetTracer(nil)
+		sc.SetTracer(nil)
 		telemetry.AttachSim(nw, nil)
 		if err := tr.Flush(); err != nil {
 			return RepairResult{}, fmt.Errorf("fig 4/5 trace flush: %w", err)
@@ -223,6 +228,28 @@ func jamCohort(nw *sim.Network, jammerCount int) []topology.NodeID {
 		}
 	}
 	return out
+}
+
+// cohortHistory returns the route histories of the given nodes.
+func cohortHistory(sc *scenario.Scenario, ids []topology.NodeID) ([]routeHistory, error) {
+	out := make([]routeHistory, len(ids))
+	for i, id := range ids {
+		h, err := history(sc, int(id))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = h
+	}
+	return out, nil
+}
+
+// parentChanges sums the parent switches across a cohort.
+func parentChanges(cohort []routeHistory) int64 {
+	var total int64
+	for _, h := range cohort {
+		total += h.ParentChanges()
+	}
+	return total
 }
 
 // wifiChannelFor spreads jammers across the common WiFi channels.

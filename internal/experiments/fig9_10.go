@@ -10,16 +10,11 @@ import (
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/topology"
 )
-
-func testbedATopo() *topology.Topology { return topology.TestbedA() }
-func testbedBTopo() *topology.Topology { return topology.TestbedB() }
 
 // InterferenceOptions parameterise the Figure 9 / Figure 10 campaigns:
 // DiGS vs Orchestra under WiFi jamming.
@@ -100,41 +95,18 @@ func RunInterferenceSingle(proto Protocol, opts InterferenceOptions) ([]FlowSetR
 }
 
 func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSetResult, error) {
-	topo := testbedATopo()
+	topo := topology.TestbedA()
 	if opts.Testbed == "B" {
-		topo = testbedBTopo()
+		topo = topology.TestbedB()
 	}
-	nw := sim.NewNetwork(topo, opts.Seed)
-	var net stackNet
-	var cfgHash uint64
-	switch {
-	case proto == DiGS:
-		cfg := core.DefaultConfig(topo.NumAPs)
-		macCfg := mac.DefaultConfig()
-		if opts.DiGSConfig != nil {
-			cfg = *opts.DiGSConfig
-		} else {
-			// Equal-time retry persistence: see buildNetwork.
-			macCfg.MaxTxPerPacket *= 3
-		}
-		cn, err := core.Build(nw, cfg, macCfg, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = digsNet{cn}, snapshot.HashConfig(cfg, macCfg)
-	case proto == Orchestra:
-		cfg, macCfg := orchestra.DefaultConfig(), mac.DefaultConfig()
-		on, err := orchestra.Build(nw, cfg, macCfg, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = orchNet{on}, snapshot.HashConfig(cfg, macCfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %d", proto)
-	}
-	if err := warmConverge(opts.CacheDir, nw, net, opts.Seed, cfgHash, 30*time.Second); err != nil {
+	sc, err := scenario.Build(params(proto, topo, opts.Seed, opts.DiGSConfig))
+	if err != nil {
 		return nil, err
 	}
+	if err := warmConverge(sc, opts.CacheDir, 30*time.Second); err != nil {
+		return nil, err
+	}
+	nw := sc.NW
 
 	// Jammers on for the whole measurement campaign — the Figure 8
 	// scenario, expressed as a chaos plan: a WiFi jammer at each suggested
@@ -160,7 +132,7 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 		}
 		seqBase := uint16(50000 + round*100)
 		flows.Schedule(nw, prime, 14, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: seqBase + seq, BornASN: asn,
 			})
 		})
@@ -169,14 +141,14 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 	// Drain priming residue before the first measured set.
 	nw.RunUntil(sim.SlotsFor(2*time.Minute), func() bool {
 		for i := 1; i <= topo.N(); i++ {
-			if net.MACNode(i).QueueLen() > 0 {
+			if sc.MACNode(i).QueueLen() > 0 {
 				return false
 			}
 		}
 		return true
 	})
 
-	return runFlowSets(nw, net, FlowSetOptions{
+	return runFlowSets(sc, FlowSetOptions{
 		FlowSets:       opts.FlowSets,
 		FlowsPerSet:    opts.FlowsPerSet,
 		PacketPeriod:   5 * time.Second,
@@ -200,25 +172,26 @@ type MicrobenchResult struct {
 // continuously; a jammer burst hits while packets 74..84 are in the air;
 // the result records which of those packets each flow delivered.
 func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
-	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	topo := topology.TestbedA()
+	sc, err := scenario.Build(params(proto, topo, seed, nil))
 	if err != nil {
 		return nil, err
 	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	if err := converge(sc, 240*time.Second); err != nil {
 		return nil, err
 	}
+	nw := sc.NW
 	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	const period = 5 * time.Second
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
+	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, period)
 	const totalPackets = 90
 	base := nw.ASN()
 	flows.Schedule(nw, fset, totalPackets, func(f flows.Flow, seq uint16, asn sim.ASN) {
 		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
+		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
 			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 		})
 	})
@@ -239,7 +212,7 @@ func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	}
 
 	nw.Run(sim.SlotsFor(period*totalPackets + 20*time.Second))
-	net.OnDeliver(nil)
+	sc.OnDeliver(nil)
 
 	out := &MicrobenchResult{
 		Delivered: make(map[uint16]map[uint16]bool, len(fset)),

@@ -50,13 +50,13 @@ func runDriftRejoin(t *testing.T, job int, seed int64) (driftOutcome, error) {
 	// the monitor emits into the chain that excludes itself.
 	mon := invariant.New(invariant.Config{
 		Emit:        jsonl,
-		Heal:        net.Healer(),
+		Heal:        net.Healer,
 		DesyncGuard: 2500,
 		OrphanGrace: 1000,
 		HealBackoff: 500,
 	})
 	net.SetTracer(telemetry.Multi(jsonl, mon))
-	invariant.Attach(nw, mon, net.Prober(nw), 200)
+	invariant.Attach(nw, mon, net.Prober, 200)
 
 	victim := topo.SuggestedSources[0]
 	nw.SetClockDrift(victim, 1.0, seed*7+3)

@@ -125,7 +125,7 @@ type Stack struct {
 	childSlots map[int64]topology.NodeID
 }
 
-var _ mac.Protocol = (*Stack)(nil)
+var _ mac.Stack = (*Stack)(nil)
 
 // NewStack builds an Orchestra stack for one node.
 func NewStack(id topology.NodeID, isRoot bool, cfg Config, rng *rand.Rand) (*Stack, error) {
@@ -158,16 +158,38 @@ func NewStack(id topology.NodeID, isRoot bool, cfg Config, rng *rand.Rand) (*Sta
 // Router exposes the RPL state for experiments and tests.
 func (s *Stack) Router() *rpl.Router { return s.router }
 
+// Joined implements mac.Stack: the node is in the DODAG (roots always).
+func (s *Stack) Joined() bool { return s.router.Joined() }
+
+// Parents implements mac.Stack. RPL keeps a single preferred parent, so
+// the backup is always 0 — runs that enable the invariant monitor's
+// RequireBackup check flag every Orchestra node, which is the honest
+// reading of the paper's single-parent critique.
+func (s *Stack) Parents() (best, second topology.NodeID) { return s.router.Parent(), 0 }
+
+// Neighbors implements mac.Stack.
+func (s *Stack) Neighbors() int { return s.router.Neighbors() }
+
+// SetRouteHook implements mac.Stack: the hook fires on every preferred-
+// parent switch, and survives Reset.
+func (s *Stack) SetRouteHook(fn mac.RouteHook) { s.router.OnRouteChange = fn }
+
+// FirstParentAt reports when the node first selected a parent (Figure 13).
+func (s *Stack) FirstParentAt() (sim.ASN, bool) { return s.router.FirstParentAt() }
+
+// ParentChanges counts the node's parent switches (Figures 4 and 5).
+func (s *Stack) ParentChanges() int64 { return s.router.ParentChanges() }
+
 // Reset implements mac.Resetter: it discards the RPL neighbour set,
 // parent and derived schedule caches, returning the stack to its
-// just-constructed state. The installed OnParentChange callback and the
+// just-constructed state. The installed OnRouteChange callback and the
 // configuration survive, so a chaos-plan reboot with state loss keeps
 // reporting route changes through the same telemetry chain.
 func (s *Stack) Reset() {
-	onChange := s.router.OnParentChange
+	onChange := s.router.OnRouteChange
 	router := rpl.NewRouter(s.id, s.isRoot, sim.SlotsFor(s.cfg.NeighborTimeout),
 		s.cfg.RankGranularity)
-	router.OnParentChange = onChange
+	router.OnRouteChange = onChange
 	s.router = router
 	// NewTimer only fails on invalid config, which Validate already
 	// accepted at construction.

@@ -83,10 +83,10 @@ type Router struct {
 	hasParentedAt bool
 	parentChanges int64
 
-	// OnParentChange, when set, is invoked whenever the preferred parent
-	// switches. The telemetry subsystem uses it to correlate loss windows
-	// with route churn.
-	OnParentChange func(asn sim.ASN, parent topology.NodeID)
+	// OnRouteChange, when set, is invoked whenever the preferred parent
+	// switches (RPL keeps no backup, so second is always 0). The telemetry
+	// subsystem uses it to correlate loss windows with route churn.
+	OnRouteChange func(asn sim.ASN, best, second topology.NodeID)
 }
 
 // NewRouter creates RPL state for a node. Roots (access points) have rank
@@ -273,8 +273,8 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	}
 	if best != oldParent {
 		r.parentChanges++
-		if r.OnParentChange != nil {
-			r.OnParentChange(asn, best)
+		if r.OnRouteChange != nil {
+			r.OnRouteChange(asn, best, 0)
 		}
 		return true
 	}

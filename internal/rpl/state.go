@@ -50,7 +50,7 @@ func (r *Router) CaptureState() RouterState {
 	return st
 }
 
-// RestoreState overlays a captured routing state. The OnParentChange
+// RestoreState overlays a captured routing state. The OnRouteChange
 // callback installed on the freshly built router survives.
 func (r *Router) RestoreState(st RouterState) {
 	r.rank = st.Rank

@@ -1,47 +1,43 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
 	"github.com/digs-net/digs/internal/mac"
-	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/snapshot"
 )
 
-// StackBuilder attaches one protocol stack to every node of the freshly
-// built network and fills the Scenario's uniform surface (MACNode, Joined,
-// SetTracer, OnDeliver, Prober, Healer, take/restore, ConfigHash). The
-// builder receives the resolved Params (Topology non-nil, Period filled)
-// and the MAC configuration the scenario computed from them.
-type StackBuilder func(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error
+// StackBuilder attaches one protocol stack to every node of the scenario's
+// freshly built network (sc.NW, from the resolved sc.Params: Topology
+// non-nil, Period filled) with the MAC configuration Build computed. It
+// sets the scenario's mac.Network — the bundle over each node's mac.Stack,
+// the per-node contract every stack implements — plus the ConfigHash and
+// the snapshot take/restore pair, the only stack-specific surface left.
+type StackBuilder func(sc *Scenario, macCfg mac.Config) error
 
-var stackRegistry = map[string]StackBuilder{}
-
-// RegisterStack adds a protocol stack under its -protocol name. Every CLI
-// and the scenario spec validate against this one registry, so adding a
-// controller implementation is a single registration. Registration happens
-// from init functions; duplicate or empty names are programming errors.
-func RegisterStack(name string, b StackBuilder) {
-	if name == "" || b == nil {
-		panic("scenario: RegisterStack with empty name or nil builder")
-	}
-	if _, dup := stackRegistry[name]; dup {
-		panic(fmt.Sprintf("scenario: stack %q registered twice", name))
-	}
-	stackRegistry[name] = b
+// stackTable is the fixed set of protocol stacks, keyed by -protocol
+// name. Every CLI and the scenario spec validate against it, so adding a
+// stack is one per-node type implementing mac.Stack, one builder and one
+// entry here.
+var stackTable = map[string]StackBuilder{
+	snapshot.ProtocolDiGS:      buildDiGS,
+	snapshot.ProtocolOrchestra: buildOrchestra,
+	snapshot.ProtocolWHART:     buildWHART,
+	snapshot.ProtocolSDN:       buildSDN,
+	snapshot.ProtocolAdaptive:  buildAdaptive,
 }
 
 // StackRegistered reports whether a protocol name has a registered stack.
 func StackRegistered(name string) bool {
-	_, ok := stackRegistry[name]
+	_, ok := stackTable[name]
 	return ok
 }
 
 // RegisteredStacks lists the registered protocol names, sorted.
 func RegisteredStacks() []string {
-	names := make([]string, 0, len(stackRegistry))
-	for name := range stackRegistry {
+	names := make([]string, 0, len(stackTable))
+	for name := range stackTable {
 		names = append(names, name)
 	}
 	sort.Strings(names)

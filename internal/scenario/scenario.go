@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
-	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -84,8 +83,10 @@ type Params struct {
 	Flows int
 }
 
-// Scenario is a built, runnable protocol scenario with a uniform surface
-// over the registered stacks.
+// Scenario is a built, runnable protocol scenario. The embedded
+// mac.Network is the stack-neutral surface every registered stack shares
+// (MACNode, OnDeliver, Prober, Healer, Schedule); Joined and SetTracer
+// add the scenario's own view on top of it.
 type Scenario struct {
 	Params Params
 	NW     *sim.Network
@@ -93,16 +94,7 @@ type Scenario struct {
 	// (topology, protocol, seed); snapshot metadata carries it.
 	ConfigHash uint64
 
-	MACNode   func(i int) *mac.Node
-	Joined    func() int
-	SetTracer func(telemetry.Tracer)
-	OnDeliver func(fn func(asn sim.ASN, f *sim.Frame))
-	Prober    invariant.Prober
-	Healer    func(id topology.NodeID, asn sim.ASN)
-	// Schedule reads one node's slot assignment (digs-sim's
-	// -dump-schedule). Calling it advances protocol timers exactly like
-	// the simulation would, so it is a run-ending inspection, not a peek.
-	Schedule func(id int, asn sim.ASN) mac.Assignment
+	*mac.Network
 
 	take    func(meta snapshot.Meta) (*snapshot.Snapshot, error)
 	restore func(s *snapshot.Snapshot) error
@@ -124,6 +116,10 @@ func Build(p Params) (*Scenario, error) {
 	if p.Period == 0 {
 		p.Period = 5 * time.Second
 	}
+	build, ok := stackTable[p.Protocol]
+	if !ok {
+		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
+	}
 	topo := p.Topology
 	var nw *sim.Network
 	if p.Shards > 0 || topo.SparseOnly() {
@@ -140,31 +136,32 @@ func Build(p Params) (*Scenario, error) {
 		macCfg.MaxTxPerPacket *= p.MacBoost
 	}
 	sc := &Scenario{Params: p, NW: nw}
-
-	build, ok := stackRegistry[p.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
-	}
-	if err := build(sc, p, nw, macCfg); err != nil {
+	if err := build(sc, macCfg); err != nil {
 		return nil, err
 	}
-	if nw.ScaleMode() {
-		// Device layers record telemetry from inside the shard-parallel
-		// phases; interpose the per-shard splitter so any downstream sink
-		// sees one deterministic stream regardless of shard count.
-		inner := sc.SetTracer
-		sc.SetTracer = func(t telemetry.Tracer) {
-			if t == nil {
-				nw.SetParallelNotify(nil)
-				inner(nil)
-				return
-			}
-			sp := telemetry.NewSplitter(t, nw.ShardCount(), nw.ShardOf)
-			nw.SetParallelNotify(sp.SetParallel)
-			inner(sp)
+	return sc, nil
+}
+
+// Joined returns how many nodes are synchronised and joined at the
+// routing layer.
+func (sc *Scenario) Joined() int { return sc.JoinedCount() }
+
+// SetTracer installs (nil removes) the packet-lifecycle tracer on every
+// node. On the scale engine, device layers record telemetry from inside
+// the shard-parallel phases, so the per-shard splitter is interposed and
+// any downstream sink sees one deterministic stream regardless of shard
+// count.
+func (sc *Scenario) SetTracer(t telemetry.Tracer) {
+	if sc.NW.ScaleMode() {
+		if t == nil {
+			sc.NW.SetParallelNotify(nil)
+		} else {
+			sp := telemetry.NewSplitter(t, sc.NW.ShardCount(), sc.NW.ShardOf)
+			sc.NW.SetParallelNotify(sp.SetParallel)
+			t = sp
 		}
 	}
-	return sc, nil
+	sc.Network.SetTracer(t)
 }
 
 // BuildFromMeta rebuilds the scenario a snapshot was taken from, using the
@@ -266,7 +263,9 @@ func (sc *Scenario) CacheKey(label string) snapshot.Key {
 // cache when a snapshot is there (restoring it), otherwise by running
 // form — which must leave the scenario at that phase and return any extra
 // metadata to record — and storing the result for the next caller. It
-// returns the snapshot metadata and whether the cache supplied it.
+// returns the snapshot metadata and whether the cache supplied it. With a
+// nil cache it only runs form, and the metadata carries just its extra
+// entries.
 func (sc *Scenario) WarmStart(cache *snapshot.Cache, label string,
 	form func() (map[string]string, error)) (snapshot.Meta, bool, error) {
 	if cache != nil {
@@ -282,17 +281,15 @@ func (sc *Scenario) WarmStart(cache *snapshot.Cache, label string,
 		}
 	}
 	extra, err := form()
-	if err != nil {
-		return snapshot.Meta{}, false, err
+	if err != nil || cache == nil {
+		return snapshot.Meta{Extra: extra}, false, err
 	}
 	snap, err := sc.Take(label, extra)
 	if err != nil {
 		return snapshot.Meta{}, false, err
 	}
-	if cache != nil {
-		if err := cache.Store(sc.CacheKey(label), snap); err != nil {
-			return snapshot.Meta{}, false, err
-		}
+	if err := cache.Store(sc.CacheKey(label), snap); err != nil {
+		return snapshot.Meta{}, false, err
 	}
 	return snap.Meta, false, nil
 }

@@ -13,18 +13,8 @@ import (
 	"github.com/digs-net/digs/internal/whart"
 )
 
-// The five protocol stacks register here; Build dispatches through the
-// registry, so the CLIs, the spec validator and the snapshot layer all
-// agree on the same protocol name set without per-binary switches.
-func init() {
-	RegisterStack(snapshot.ProtocolDiGS, buildDiGS)
-	RegisterStack(snapshot.ProtocolOrchestra, buildOrchestra)
-	RegisterStack(snapshot.ProtocolWHART, buildWHART)
-	RegisterStack(snapshot.ProtocolSDN, buildSDN)
-	RegisterStack(snapshot.ProtocolAdaptive, buildAdaptive)
-}
-
-func buildDiGS(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildDiGS(sc *Scenario, macCfg mac.Config) error {
+	p, nw := sc.Params, sc.NW
 	// ScaledConfig == DefaultConfig within the paper envelope; only
 	// generated massive-scale deployments get re-dimensioned frames.
 	cfg := core.ScaledConfig(p.Topology.NumAPs, p.Topology.N())
@@ -35,43 +25,27 @@ func buildDiGS(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error
 	if err != nil {
 		return err
 	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeDiGS(meta, nw, net)
-	}
+	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
+	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeDiGS(meta, nw, net) }
 	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreDiGS(nw, net) }
 	return nil
 }
 
-func buildOrchestra(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildOrchestra(sc *Scenario, macCfg mac.Config) error {
+	p, nw := sc.Params, sc.NW
 	cfg := orchestra.DefaultConfig()
 	net, err := orchestra.Build(nw, cfg, macCfg, p.Seed)
 	if err != nil {
 		return err
 	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeOrchestra(meta, nw, net)
-	}
+	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
+	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeOrchestra(meta, nw, net) }
 	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreOrchestra(nw, net) }
 	return nil
 }
 
-func buildWHART(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildWHART(sc *Scenario, macCfg mac.Config) error {
+	p, nw := sc.Params, sc.NW
 	topo := p.Topology
 	// The Network Manager computes the TDMA schedule for its flow set up
 	// front; a random-flows request therefore changes the build (and its
@@ -97,68 +71,34 @@ func buildWHART(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) erro
 	if err != nil {
 		return err
 	}
-	sc.ConfigHash = snapshot.HashConfig(macCfg, fl)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = func() int {
-		n := 0
-		for i := 1; i <= topo.N(); i++ {
-			if ok, _ := net.Nodes[i].Synced(); ok {
-				n++
-			}
-		}
-		return n
-	}
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	// Schedule stays nil: the whart build does not retain its static
-	// per-node stacks (the schedule is the superframe, inspectable there).
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeWHART(meta, nw, net)
-	}
+	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(macCfg, fl)
+	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeWHART(meta, nw, net) }
 	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreWHART(nw, net) }
 	return nil
 }
 
-func buildSDN(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildSDN(sc *Scenario, macCfg mac.Config) error {
+	nw := sc.NW
 	cfg := controller.DefaultSDNConfig()
 	net, err := controller.BuildSDN(nw, cfg, macCfg)
 	if err != nil {
 		return err
 	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeSDN(meta, nw, net)
-	}
+	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
+	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeSDN(meta, nw, net) }
 	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreSDN(nw, net) }
 	return nil
 }
 
-func buildAdaptive(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildAdaptive(sc *Scenario, macCfg mac.Config) error {
+	p, nw := sc.Params, sc.NW
 	cfg := controller.DefaultAdaptiveConfig()
 	net, err := controller.BuildAdaptive(nw, cfg, macCfg, p.Seed)
 	if err != nil {
 		return err
 	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeAdaptive(meta, nw, net)
-	}
+	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
+	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeAdaptive(meta, nw, net) }
 	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreAdaptive(nw, net) }
 	return nil
 }

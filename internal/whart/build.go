@@ -5,16 +5,14 @@ import (
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 // Network bundles the per-node MAC and static WirelessHART stacks running
 // over one simulated network, executing one centrally computed schedule.
 type Network struct {
-	Nodes  []*mac.Node // indexed by node ID, entry 0 nil
+	*mac.Network
 	Routes *Routes
-	Frame  *Superframe
 }
 
 // Build computes graph routes and a TDMA superframe for the given flows
@@ -31,40 +29,16 @@ func Build(nw *sim.Network, fl []Flow, macCfg mac.Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Network{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Routes: routes,
-		Frame:  sf,
-	}
+	out := &Network{Network: mac.NewNetwork(nw), Routes: routes}
 	for i := 1; i <= topo.N(); i++ {
 		id := topology.NodeID(i)
 		stack, err := NewStack(id, topo.IsAP(id), routes, sf)
 		if err != nil {
 			return nil, err
 		}
-		node := mac.NewNode(id, topo.IsAP(id), stack, macCfg)
-		if err := nw.Attach(node); err != nil {
+		if _, err := out.Attach(id, stack, macCfg); err != nil {
 			return nil, fmt.Errorf("whart build: %w", err)
 		}
-		out.Nodes[i] = node
 	}
 	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *Network) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node. The static schedule never reroutes, so there is no
-// route-change source to wire.
-func (n *Network) SetTracer(t telemetry.Tracer) {
-	for _, node := range n.Nodes[1:] {
-		node.SetTracer(t)
-	}
 }

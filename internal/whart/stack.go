@@ -45,7 +45,7 @@ type Stack struct {
 	cells    map[int64]cell
 }
 
-var _ mac.Protocol = (*Stack)(nil)
+var _ mac.Stack = (*Stack)(nil)
 
 // NewStack builds the static per-node schedule from the manager's
 // superframe.
@@ -128,3 +128,31 @@ func (s *Stack) NextHop(asn sim.ASN, _ int) (topology.NodeID, bool) {
 
 // OnTxResult implements mac.Protocol: the static stack does not adapt.
 func (s *Stack) OnTxResult(sim.ASN, *sim.Frame, topology.NodeID, bool) {}
+
+// Joined implements mac.Stack: the manager's routes are installed at
+// build time, so a node has joined as soon as its MAC synchronises.
+func (s *Stack) Joined() bool { return true }
+
+// Parents implements mac.Stack: the manager's static graph routes. They
+// never change at runtime, so the invariant loop check watches the
+// computed graph and the liveness checks watch the MAC.
+func (s *Stack) Parents() (best, second topology.NodeID) {
+	return s.routes.Best[s.id], s.routes.Second[s.id]
+}
+
+// Neighbors implements mac.Stack: the routed parents are all the
+// neighbours the static stack knows.
+func (s *Stack) Neighbors() int {
+	n := 0
+	if s.routes.Best[s.id] != 0 {
+		n++
+	}
+	if s.routes.Second[s.id] != 0 {
+		n++
+	}
+	return n
+}
+
+// SetRouteHook implements mac.Stack. The static schedule never reroutes,
+// so there is no route change to report.
+func (s *Stack) SetRouteHook(mac.RouteHook) {}
