@@ -70,20 +70,26 @@ figures-smoke:
 		| diff -u testdata/figures_smoke_golden.txt -
 	@echo figures-smoke: OK
 
-## snap-smoke: prove checkpoint/restore bit-identity across processes —
-## snapshot a half-formed network, resume it for 2000 more slots, and
-## byte-compare the result against a straight-through run that never
-## stopped (labels must match: the label is part of the snapshot).
+## snap-smoke: prove checkpoint/restore bit-identity across processes for
+## every registered stack — snapshot a half-formed network, resume it for
+## 2000 more slots, and byte-compare the result against a straight-through
+## run that never stopped (labels must match: the label is part of the
+## snapshot).
 SNAP_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-snap-smoke
+SNAP_SMOKE_STACKS := digs orchestra whart sdn adaptive
 snap-smoke:
 	rm -rf $(SNAP_SMOKE_DIR) && mkdir -p $(SNAP_SMOKE_DIR)
-	$(GO) run ./cmd/digs-snap take -topology half-testbed-a -protocol digs -seed 9 \
-		-slots 3000 -o $(SNAP_SMOKE_DIR)/mid.snap >/dev/null
-	$(GO) run ./cmd/digs-snap resume -snap $(SNAP_SMOKE_DIR)/mid.snap -slots 2000 \
-		-label golden -o $(SNAP_SMOKE_DIR)/resumed.snap >/dev/null
-	$(GO) run ./cmd/digs-snap take -topology half-testbed-a -protocol digs -seed 9 \
-		-slots 5000 -label golden -o $(SNAP_SMOKE_DIR)/straight.snap >/dev/null
-	cmp $(SNAP_SMOKE_DIR)/resumed.snap $(SNAP_SMOKE_DIR)/straight.snap
+	$(GO) build -o $(SNAP_SMOKE_DIR)/digs-snap ./cmd/digs-snap
+	for p in $(SNAP_SMOKE_STACKS); do \
+		$(SNAP_SMOKE_DIR)/digs-snap take -topology half-testbed-a -protocol $$p -seed 9 \
+			-slots 3000 -o $(SNAP_SMOKE_DIR)/$$p-mid.snap >/dev/null && \
+		$(SNAP_SMOKE_DIR)/digs-snap resume -snap $(SNAP_SMOKE_DIR)/$$p-mid.snap -slots 2000 \
+			-label golden -o $(SNAP_SMOKE_DIR)/$$p-resumed.snap >/dev/null && \
+		$(SNAP_SMOKE_DIR)/digs-snap take -topology half-testbed-a -protocol $$p -seed 9 \
+			-slots 5000 -label golden -o $(SNAP_SMOKE_DIR)/$$p-straight.snap >/dev/null && \
+		cmp $(SNAP_SMOKE_DIR)/$$p-resumed.snap $(SNAP_SMOKE_DIR)/$$p-straight.snap && \
+		echo "snap-smoke: $$p OK" || exit 1; \
+	done
 	@echo snap-smoke: OK
 
 ## scale-smoke: spin up a procedurally generated 10k-node deployment on

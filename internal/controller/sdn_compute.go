@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"math"
 	"sort"
 
 	"github.com/digs-net/digs/internal/link"
@@ -18,9 +17,9 @@ import (
 
 // sdnGraph is the adjacency view assembled from the collected reports.
 type sdnGraph struct {
-	nodes []topology.NodeID                      // sorted
-	adj   map[topology.NodeID][]sdnGraphEdge     // per node, sorted by peer
-	index map[topology.NodeID]struct{}           // membership
+	nodes []topology.NodeID                  // sorted
+	adj   map[topology.NodeID][]sdnGraphEdge // per node, sorted by peer
+	index map[topology.NodeID]struct{}       // membership
 }
 
 type sdnGraphEdge struct {
@@ -86,60 +85,33 @@ func (s *SDNStack) buildGraph(asn sim.ASN) *sdnGraph {
 	return g
 }
 
-// shortestPaths is a deterministic O(V²) multi-source Dijkstra: sources
-// start at distance 0, ties break to the lower node ID, neighbors relax
-// in sorted order. Returns predecessor (toward the nearest source) per
-// reached node.
-func (g *sdnGraph) shortestPaths(sources []topology.NodeID) map[topology.NodeID]topology.NodeID {
-	dist := make(map[topology.NodeID]float64, len(g.nodes))
-	prev := make(map[topology.NodeID]topology.NodeID, len(g.nodes))
-	done := make(map[topology.NodeID]bool, len(g.nodes))
-	for _, n := range g.nodes {
-		dist[n] = math.Inf(1)
-	}
-	for _, src := range sources {
-		if _, ok := g.index[src]; ok {
-			dist[src] = 0
-		}
-	}
-	for {
-		u := topology.NodeID(0)
-		best := math.Inf(1)
-		for _, n := range g.nodes { // sorted: deterministic tie-break
-			if !done[n] && dist[n] < best {
-				best = dist[n]
-				u = n
-			}
-		}
-		if u == 0 {
-			break
-		}
-		done[u] = true
+// shortestPaths returns, indexed by node ID, each reached node's
+// predecessor toward the nearest source (0 for sources and unreached
+// nodes), by the shared deterministic Dijkstra: ties break to the lower
+// node ID.
+func (g *sdnGraph) shortestPaths(sources []topology.NodeID) []topology.NodeID {
+	n := int(g.nodes[len(g.nodes)-1]) + 1 // sorted, and never empty: the controller is always in
+	_, prev := topology.ShortestPaths(n, sources, func(u topology.NodeID, relax func(topology.NodeID, float64)) {
 		for _, e := range g.adj[u] {
-			if nd := best + e.etx; nd < dist[e.peer] {
-				dist[e.peer] = nd
-				prev[e.peer] = u
-			}
+			relax(e.peer, e.etx)
 		}
-	}
+	})
 	return prev
 }
 
 // pathFrom walks predecessors back from target to the (single) source and
 // returns the forward hop list source→…→target, excluding the source. A
 // nil return means the target is unreachable in the collected graph.
-func pathFrom(prev map[topology.NodeID]topology.NodeID, source, target topology.NodeID) []topology.NodeID {
+func pathFrom(prev []topology.NodeID, source, target topology.NodeID) []topology.NodeID {
 	if target == source {
 		return []topology.NodeID{}
 	}
 	var rev []topology.NodeID
-	for at := target; at != source; {
-		p, ok := prev[at]
-		if !ok || len(rev) > len(prev)+1 {
+	for at := target; at != source; at = prev[at] {
+		if int(at) >= len(prev) || prev[at] == 0 || len(rev) > len(prev) {
 			return nil
 		}
 		rev = append(rev, at)
-		at = p
 	}
 	out := make([]topology.NodeID, len(rev))
 	for i, n := range rev {
@@ -168,7 +140,7 @@ func (s *SDNStack) recompute(asn sim.ASN) {
 	treePrev := g.shortestPaths(s.aps)
 	children := make(map[topology.NodeID][]topology.NodeID)
 	for _, n := range g.nodes {
-		if p, ok := treePrev[n]; ok && p != 0 {
+		if p := treePrev[n]; p != 0 {
 			children[p] = append(children[p], n)
 		}
 	}

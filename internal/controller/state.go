@@ -79,8 +79,9 @@ type SDNStackState struct {
 	LastSent      []SDNSentState // sorted by node
 }
 
-// CaptureState snapshots the stack.
-func (s *SDNStack) CaptureState() *SDNStackState {
+// CaptureState snapshots the stack. It cannot fail; the error return
+// matches the other stacks' capture signature.
+func (s *SDNStack) CaptureState() (*SDNStackState, error) {
 	st := &SDNStackState{
 		Synced:            s.synced,
 		Uplink:            s.uplink,
@@ -132,7 +133,7 @@ func (s *SDNStack) CaptureState() *SDNStackState {
 		})
 	}
 	sort.Slice(st.LastSent, func(i, j int) bool { return st.LastSent[i].Node < st.LastSent[j].Node })
-	return st
+	return st, nil
 }
 
 // RestoreState overlays a captured stack state onto a freshly built stack
@@ -194,37 +195,6 @@ func (s *SDNStack) RestoreState(st *SDNStackState) error {
 				parent:   e.Parent,
 				children: append([]topology.NodeID(nil), e.Children...),
 			}
-		}
-	}
-	return nil
-}
-
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *SDNNetwork) CaptureState() ([]*SDNStackState, error) {
-	out := make([]*SDNStackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s != nil {
-			out[i] = s.CaptureState()
-		}
-	}
-	return out, nil
-}
-
-// RestoreState overlays captured stack states onto a freshly built network.
-func (n *SDNNetwork) RestoreState(states []*SDNStackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("sdn restore: %d stack states for %d stacks", len(states), len(n.Stacks))
-	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("sdn restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -344,42 +314,6 @@ func (s *AdaptiveStack) RestoreState(st *AdaptiveStackState) error {
 		}
 	} else {
 		s.childCells = nil
-	}
-	return nil
-}
-
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *AdaptiveNetwork) CaptureState() ([]*AdaptiveStackState, error) {
-	out := make([]*AdaptiveStackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		st, err := s.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-// RestoreState overlays captured stack states onto a freshly built network.
-func (n *AdaptiveNetwork) RestoreState(states []*AdaptiveStackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("adaptive restore: %d stack states for %d stacks", len(states), len(n.Stacks))
-	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("adaptive restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -127,6 +127,18 @@ func (p *Proxy) track(c net.Conn) {
 	p.mu.Unlock()
 }
 
+// adopt tracks upstream alongside client, unless a cut has already
+// severed client while it was dialing.
+func (p *Proxy) adopt(client, upstream net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, live := p.conns[client]; !live {
+		return false
+	}
+	p.conns[upstream] = struct{}{}
+	return true
+}
+
 func (p *Proxy) untrack(c net.Conn) {
 	p.mu.Lock()
 	delete(p.conns, c)
@@ -139,6 +151,9 @@ func (p *Proxy) accept() {
 		if err != nil {
 			return
 		}
+		// Track before serve reads the mode: a Partition that lands after
+		// this point either cuts the conn or is seen by serve.
+		p.track(c)
 		go p.serve(c)
 	}
 }
@@ -151,13 +166,12 @@ const canned503 = "HTTP/1.1 503 Service Unavailable\r\n" +
 	`{"error":"injected fault: 503"}` + "\n"
 
 func (p *Proxy) serve(client net.Conn) {
+	defer p.untrack(client)
 	switch Mode(p.mode.Load()) {
 	case Drop:
 		abort(client)
 		return
 	case Blackhole:
-		p.track(client)
-		defer p.untrack(client)
 		// Swallow bytes until the client gives up or the mode changes
 		// out from under us (poll so a healed proxy releases the conn).
 		buf := make([]byte, 4096)
@@ -176,8 +190,6 @@ func (p *Proxy) serve(client net.Conn) {
 		abort(client)
 		return
 	case Err503:
-		p.track(client)
-		defer p.untrack(client)
 		// Read a request's worth of bytes, answer 503, close.
 		client.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 8192)
@@ -200,8 +212,10 @@ func (p *Proxy) serve(client net.Conn) {
 		abort(client)
 		return
 	}
-	p.track(client)
-	p.track(upstream)
+	if !p.adopt(client, upstream) {
+		abort(upstream) // cut while dialing
+		return
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -229,7 +243,6 @@ func (p *Proxy) serve(client net.Conn) {
 		}
 	}()
 	wg.Wait()
-	p.untrack(client)
 	p.untrack(upstream)
 	client.Close()
 	upstream.Close()

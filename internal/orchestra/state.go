@@ -88,40 +88,3 @@ func (s *Stack) RestoreState(st *StackState) error {
 	}
 	return nil
 }
-
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *Network) CaptureState() ([]*StackState, error) {
-	out := make([]*StackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		st, err := s.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
-}
-
-// RestoreState overlays captured stack states onto a freshly built
-// network.
-func (n *Network) RestoreState(states []*StackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("orchestra restore: %d stack states for %d stacks", len(states), len(n.Stacks))
-	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("orchestra restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -12,14 +12,15 @@ import (
 // freshly built network (sc.NW, from the resolved sc.Params: Topology
 // non-nil, Period filled) with the MAC configuration Build computed. It
 // sets the scenario's mac.Network — the bundle over each node's mac.Stack,
-// the per-node contract every stack implements — plus the ConfigHash and
-// the snapshot take/restore pair, the only stack-specific surface left.
+// the per-node contract every stack implements — and the ConfigHash.
+// Snapshots reach each node's state through that bundle and the stack
+// table in internal/snapshot, so a builder has nothing else to set.
 type StackBuilder func(sc *Scenario, macCfg mac.Config) error
 
 // stackTable is the fixed set of protocol stacks, keyed by -protocol
 // name. Every CLI and the scenario spec validate against it, so adding a
-// stack is one per-node type implementing mac.Stack, one builder and one
-// entry here.
+// stack is one per-node type implementing mac.Stack, one builder, one
+// entry here and one row in the snapshot package's stack table.
 var stackTable = map[string]StackBuilder{
 	snapshot.ProtocolDiGS:      buildDiGS,
 	snapshot.ProtocolOrchestra: buildOrchestra,

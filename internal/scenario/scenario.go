@@ -95,9 +95,6 @@ type Scenario struct {
 	ConfigHash uint64
 
 	*mac.Network
-
-	take    func(meta snapshot.Meta) (*snapshot.Snapshot, error)
-	restore func(s *snapshot.Snapshot) error
 }
 
 // Build constructs the scenario: a fresh network with the selected stack
@@ -214,6 +211,7 @@ func BuildFromMeta(m snapshot.Meta) (*Scenario, error) {
 // Extra entries land in the metadata next to the params needed to rebuild.
 func (sc *Scenario) Take(label string, extra map[string]string) (*snapshot.Snapshot, error) {
 	meta := snapshot.Meta{
+		Protocol:   sc.Params.Protocol,
 		Topology:   sc.Params.TopologyName,
 		Seed:       sc.Params.Seed,
 		ConfigHash: sc.ConfigHash,
@@ -234,17 +232,20 @@ func (sc *Scenario) Take(label string, extra map[string]string) (*snapshot.Snaps
 	for k, v := range extra {
 		meta.Extra[k] = v
 	}
-	return sc.take(meta)
+	return snapshot.Take(meta, sc.NW, sc.Network)
 }
 
 // Restore overlays the snapshot onto this freshly built, never-stepped
 // scenario.
 func (sc *Scenario) Restore(s *snapshot.Snapshot) error {
+	if s.Meta.Protocol != sc.Params.Protocol {
+		return fmt.Errorf("snapshot: restoring %q snapshot into a %s scenario", s.Meta.Protocol, sc.Params.Protocol)
+	}
 	if s.Meta.ConfigHash != sc.ConfigHash {
 		return fmt.Errorf("snapshot configuration hash %016x, scenario built %016x",
 			s.Meta.ConfigHash, sc.ConfigHash)
 	}
-	return sc.restore(s)
+	return s.Restore(sc.NW, sc.Network)
 }
 
 // CacheKey is the warm-start cache identity of this scenario at a phase

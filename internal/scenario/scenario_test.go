@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,6 +151,77 @@ func TestResumeBitIdentity(t *testing.T) {
 					d = d[:10]
 				}
 				t.Errorf("final snapshots diverge (%d fields):\n%v", max, d)
+			}
+		})
+	}
+}
+
+// TestSnapshotDiffAndSummaryEveryStack takes two snapshots of one formed
+// scenario at different slots and makes their network and MAC sections
+// equal, so only the stack section tells them apart. For every stack with
+// a section, Diff must report a line under that section's tag, and
+// Summary's routing line must count the formed network's parented nodes.
+func TestSnapshotDiffAndSummaryEveryStack(t *testing.T) {
+	for _, stack := range RegisteredStacks() {
+		t.Run(stack, func(t *testing.T) {
+			t.Parallel()
+			sc, err := Build(Params{TopologyName: testTopo, Protocol: stack, Seed: 1, Period: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := form(sc); err != nil {
+				t.Fatal(err)
+			}
+			a, err := sc.Take("a", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.NW.Run(2000)
+			b, err := sc.Take("b", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Net, b.MACs = a.Net, a.MACs
+
+			// The stack section is whichever tag is not a common one.
+			wire, err := snapshot.Encode(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, err := snapshot.Decode(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := ""
+			for sec := range dec.SectionSizes {
+				switch sec {
+				case "meta", "net", "mac", "metrics":
+				default:
+					tag = sec
+				}
+			}
+			if tag == "" {
+				return // stateless beyond its MAC nodes: nothing to diff or count
+			}
+			diff := snapshot.Diff(a, b)
+			found := false
+			for _, line := range diff {
+				found = found || strings.HasPrefix(line, tag+"[")
+			}
+			if !found {
+				t.Errorf("Diff reports no %s[...] line for snapshots 2000 slots apart: %q", tag, diff)
+			}
+
+			parented, others := -1, 0
+			for _, line := range strings.Split(snapshot.Summary(a), "\n") {
+				if rest, ok := strings.CutPrefix(line, "routing:"); ok {
+					if _, err := fmt.Sscanf(strings.TrimSpace(rest), "%d/%d", &parented, &others); err != nil {
+						t.Fatalf("routing line %q: %v", line, err)
+					}
+				}
+			}
+			if parented <= 0 {
+				t.Errorf("Summary counts %d parented nodes on the formed network:\n%s", parented, snapshot.Summary(a))
 			}
 		})
 	}

@@ -14,38 +14,33 @@ import (
 )
 
 func buildDiGS(sc *Scenario, macCfg mac.Config) error {
-	p, nw := sc.Params, sc.NW
+	p := sc.Params
 	// ScaledConfig == DefaultConfig within the paper envelope; only
 	// generated massive-scale deployments get re-dimensioned frames.
 	cfg := core.ScaledConfig(p.Topology.NumAPs, p.Topology.N())
 	if p.DiGSConfig != nil {
 		cfg = *p.DiGSConfig
 	}
-	net, err := core.Build(nw, cfg, macCfg, p.Seed)
+	net, err := core.Build(sc.NW, cfg, macCfg, p.Seed)
 	if err != nil {
 		return err
 	}
 	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeDiGS(meta, nw, net) }
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreDiGS(nw, net) }
 	return nil
 }
 
 func buildOrchestra(sc *Scenario, macCfg mac.Config) error {
-	p, nw := sc.Params, sc.NW
 	cfg := orchestra.DefaultConfig()
-	net, err := orchestra.Build(nw, cfg, macCfg, p.Seed)
+	net, err := orchestra.Build(sc.NW, cfg, macCfg, sc.Params.Seed)
 	if err != nil {
 		return err
 	}
 	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeOrchestra(meta, nw, net) }
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreOrchestra(nw, net) }
 	return nil
 }
 
 func buildWHART(sc *Scenario, macCfg mac.Config) error {
-	p, nw := sc.Params, sc.NW
+	p := sc.Params
 	topo := p.Topology
 	// The Network Manager computes the TDMA schedule for its flow set up
 	// front; a random-flows request therefore changes the build (and its
@@ -67,38 +62,30 @@ func buildWHART(sc *Scenario, macCfg mac.Config) error {
 			ID: uint16(i + 1), Source: src, PeriodSlots: sim.SlotsFor(p.Period),
 		})
 	}
-	net, err := whart.Build(nw, fl, macCfg)
+	net, err := whart.Build(sc.NW, fl, macCfg)
 	if err != nil {
 		return err
 	}
 	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(macCfg, fl)
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeWHART(meta, nw, net) }
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreWHART(nw, net) }
 	return nil
 }
 
 func buildSDN(sc *Scenario, macCfg mac.Config) error {
-	nw := sc.NW
 	cfg := controller.DefaultSDNConfig()
-	net, err := controller.BuildSDN(nw, cfg, macCfg)
+	net, err := controller.BuildSDN(sc.NW, cfg, macCfg)
 	if err != nil {
 		return err
 	}
 	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeSDN(meta, nw, net) }
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreSDN(nw, net) }
 	return nil
 }
 
 func buildAdaptive(sc *Scenario, macCfg mac.Config) error {
-	p, nw := sc.Params, sc.NW
 	cfg := controller.DefaultAdaptiveConfig()
-	net, err := controller.BuildAdaptive(nw, cfg, macCfg, p.Seed)
+	net, err := controller.BuildAdaptive(sc.NW, cfg, macCfg, sc.Params.Seed)
 	if err != nil {
 		return err
 	}
 	sc.Network, sc.ConfigHash = net.Network, snapshot.HashConfig(cfg, macCfg)
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeAdaptive(meta, nw, net) }
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreAdaptive(nw, net) }
 	return nil
 }

@@ -117,30 +117,22 @@ func (j *Job) markQueued() {
 	j.mu.Unlock()
 }
 
-func (j *Job) markDone(result []byte, resultHash string, warmHit bool) {
+// setResult records a successful run's output; finish(StatusDone, "")
+// then publishes it.
+func (j *Job) setResult(result []byte, resultHash string, warmHit bool) {
 	j.mu.Lock()
-	j.status = StatusDone
 	j.result = result
 	j.resultHash = resultHash
 	j.warmHit = warmHit
-	j.errMsg = "" // a recovered retry's stale error must not outlive success
-	j.finished = time.Now()
 	j.mu.Unlock()
-	close(j.done)
 }
 
-func (j *Job) markFailed(msg string) {
+// finish moves the job to a terminal status and closes its done channel.
+// msg is the error a failed or canceled job reports; a done job's is
+// cleared, so a recovered retry's stale error cannot outlive success.
+func (j *Job) finish(status Status, msg string) {
 	j.mu.Lock()
-	j.status = StatusFailed
-	j.errMsg = msg
-	j.finished = time.Now()
-	j.mu.Unlock()
-	close(j.done)
-}
-
-func (j *Job) markCanceled(msg string) {
-	j.mu.Lock()
-	j.status = StatusCanceled
+	j.status = status
 	j.errMsg = msg
 	j.finished = time.Now()
 	j.mu.Unlock()

@@ -271,11 +271,12 @@ func (s *Server) recover(path string) ([]*Job, error) {
 		switch rj.op {
 		case opDone:
 			b, _ := s.results.Get(rj.specHash) // verified during recovery
-			j.markDone(b, rj.resultHash, false)
+			j.setResult(b, rj.resultHash, false)
+			j.finish(StatusDone, "")
 		case opFail:
-			j.markFailed(rj.detail)
+			j.finish(StatusFailed, rj.detail)
 		case opCancel:
-			j.markCanceled(rj.detail)
+			j.finish(StatusCanceled, rj.detail)
 		}
 		j.Stream.Close()
 		s.jobs[j.ID] = j
@@ -341,7 +342,7 @@ func (s *Server) worker() {
 			// A stop racing with a ready queue must drain, not run.
 			select {
 			case <-s.stopCh:
-				s.finishJob(j, func() { j.markCanceled("server shutting down") })
+				s.finishJob(j, StatusCanceled, "server shutting down")
 				continue
 			default:
 			}
@@ -350,13 +351,30 @@ func (s *Server) worker() {
 	}
 }
 
-// finishJob applies a terminal transition, journals it, and releases
-// the job's admission resources exactly once. Terminal jobs stay
-// addressable for replay until FinishedJobCap newer jobs have finished,
-// then they are forgotten so s.jobs (and the result/backlog bytes each
-// Job pins) cannot grow without bound.
-func (s *Server) finishJob(j *Job, mark func()) {
-	mark()
+// finishJob counts and journals a terminal transition, then applies it
+// (closing the job's done channel) and releases the job's admission
+// resources exactly once. Counting and journaling come first, so a client
+// that sees the job finish also sees it in /v1/stats, and a crash after
+// the done channel closes cannot recover the job as queued. A done job's
+// result must already be set (setResult); msg is the error of a failed or
+// canceled one. Terminal jobs stay addressable for replay until
+// FinishedJobCap newer jobs have finished, then they are forgotten so
+// s.jobs (and the result/backlog bytes each Job pins) cannot grow without
+// bound.
+func (s *Server) finishJob(j *Job, status Status, msg string) {
+	switch status {
+	case StatusDone:
+		s.completed.Add(1)
+		_, rhash := j.Result()
+		s.journalAppend(journalRecord{Op: opDone, Job: j.ID, ResultHash: rhash})
+	case StatusFailed:
+		s.failed.Add(1)
+		s.journalAppend(journalRecord{Op: opFail, Job: j.ID, Attempt: j.Attempts(), Detail: msg})
+	case StatusCanceled:
+		s.canceled.Add(1)
+		s.journalAppend(journalRecord{Op: opCancel, Job: j.ID, Detail: msg})
+	}
+	j.finish(status, msg)
 	j.Stream.Close()
 	s.quota.release(j.Tenant)
 	s.mu.Lock()
@@ -369,19 +387,6 @@ func (s *Server) finishJob(j *Job, mark func()) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
-	switch j.Status() {
-	case StatusDone:
-		s.completed.Add(1)
-		_, rhash := j.Result()
-		s.journalAppend(journalRecord{Op: opDone, Job: j.ID, ResultHash: rhash})
-	case StatusFailed:
-		s.failed.Add(1)
-		v := j.View(false)
-		s.journalAppend(journalRecord{Op: opFail, Job: j.ID, Attempt: v.Attempts, Detail: v.Error})
-	case StatusCanceled:
-		s.canceled.Add(1)
-		s.journalAppend(journalRecord{Op: opCancel, Job: j.ID, Detail: j.View(false).Error})
-	}
 }
 
 // execute runs one attempt of the job's spec under a recover() barrier:
@@ -413,7 +418,7 @@ func (s *Server) runJob(j *Job) {
 	s.running.Add(-1)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || s.runCtx.Err() != nil {
-			s.finishJob(j, func() { j.markCanceled("canceled by shutdown deadline") })
+			s.finishJob(j, StatusCanceled, "canceled by shutdown deadline")
 			return
 		}
 		s.retryOrFail(j, attempt, err.Error())
@@ -443,7 +448,8 @@ func (s *Server) runJob(j *Job) {
 				`{"schema":"digs-server/v1","event":"store_error","detail":%q}`+"\n", err.Error())))
 		}
 	}
-	s.finishJob(j, func() { j.markDone(enc, rhash, rinfo.WarmHit) })
+	j.setResult(enc, rhash, rinfo.WarmHit)
+	s.finishJob(j, StatusDone, "")
 }
 
 // retryOrFail routes a failed attempt: back into the queue after a
@@ -452,7 +458,7 @@ func (s *Server) runJob(j *Job) {
 // poisoned spec costs its own attempts, never the daemon.
 func (s *Server) retryOrFail(j *Job, attempt int, msg string) {
 	if attempt >= s.cfg.MaxAttempts {
-		s.finishJob(j, func() { j.markFailed(msg) })
+		s.finishJob(j, StatusFailed, msg)
 		return
 	}
 	s.retries.Add(1)
@@ -488,7 +494,7 @@ func (s *Server) scheduleRetry(j *Job, d time.Duration) {
 	if s.draining.Load() {
 		s.mu.Unlock()
 		s.retryWg.Done()
-		s.finishJob(j, func() { j.markCanceled("server shutting down") })
+		s.finishJob(j, StatusCanceled, "server shutting down")
 		return
 	}
 	s.retryTimers[j.ID] = time.AfterFunc(d, func() {
@@ -506,7 +512,7 @@ func (s *Server) requeue(j *Job) {
 	delete(s.retryTimers, j.ID)
 	if s.draining.Load() {
 		s.mu.Unlock()
-		s.finishJob(j, func() { j.markCanceled("server shutting down") })
+		s.finishJob(j, StatusCanceled, "server shutting down")
 		return
 	}
 	select {
@@ -568,7 +574,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, j := range parked {
 		if j != nil {
-			s.finishJob(j, func() { j.markCanceled("server shutting down") })
+			s.finishJob(j, StatusCanceled, "server shutting down")
 		}
 	}
 	s.retryWg.Wait()
@@ -578,7 +584,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.jobsCh:
-			s.finishJob(j, func() { j.markCanceled("server shutting down") })
+			s.finishJob(j, StatusCanceled, "server shutting down")
 		default:
 			if s.journal != nil {
 				s.journal.close()

@@ -462,6 +462,47 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTerminalRecordedBeforeDone: the moment a job's done channel closes,
+// the stats already count it and the journal already holds its done
+// record — so a client that saw the job finish can never read a stale
+// Completed count, and a crash after that moment cannot replay the job
+// as queued. Run it under -race -count=20 to give the window a chance.
+func TestTerminalRecordedBeforeDone(t *testing.T) {
+	dataDir := t.TempDir()
+	s, ts := newTestServer(t, Config{
+		Workers: 2, DataDir: dataDir, JournalNoSync: true,
+		runFn: func(ctx context.Context, spec scenario.Spec, opts scenario.RunOpts) (*scenario.Result, scenario.RunInfo, error) {
+			h, err := spec.Hash()
+			return &scenario.Result{SpecHash: h, Topology: spec.Topology, Protocol: spec.Protocol, Seed: spec.Seed}, scenario.RunInfo{}, err
+		},
+	})
+	const jobs = 40
+	for i := 0; i < jobs; i++ {
+		code, doc := submit(t, ts, smallSpec(int64(1000+i)), "")
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, code)
+		}
+		id := str(t, doc, "job_id")
+		waitDone(t, s, id)
+		if got := s.completed.Load(); got != int64(i+1) {
+			t.Fatalf("job %d: done channel closed with Completed %d, want %d", i, got, i+1)
+		}
+		f, err := os.Open(filepath.Join(dataDir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := replayJournal(f)
+		f.Close()
+		journaled := false
+		for _, rec := range recs {
+			journaled = journaled || (rec.Op == opDone && rec.Job == id)
+		}
+		if !journaled {
+			t.Fatalf("job %d (%s): done channel closed before its done record was journaled", i, id)
+		}
+	}
+}
+
 // TestResultHashValidation: GET /v1/results/{hash} only ever touches the
 // store for well-formed spec hashes. ServeMux percent-decodes the path
 // value after matching, so ..%2F sequences arrive as real "../" path

@@ -51,10 +51,9 @@ const (
 
 // Encode serialises a snapshot to its wire form.
 func Encode(s *Snapshot) ([]byte, error) {
-	switch s.Meta.Protocol {
-	case ProtocolDiGS, ProtocolOrchestra, ProtocolWHART, ProtocolSDN, ProtocolAdaptive:
-	default:
-		return nil, fmt.Errorf("snapshot: encode unknown protocol %q", s.Meta.Protocol)
+	row, err := stackFor(s.Meta.Protocol)
+	if err != nil {
+		return nil, err
 	}
 	if s.Net == nil {
 		return nil, fmt.Errorf("snapshot: encode without network state")
@@ -74,15 +73,11 @@ func Encode(s *Snapshot) ([]byte, error) {
 	section(secMeta, func(sw *writer) { encodeMeta(sw, &s.Meta) })
 	section(secNet, func(sw *writer) { encodeNet(sw, s.Net) })
 	section(secMAC, func(sw *writer) { encodeMACs(sw, s.MACs) })
-	switch s.Meta.Protocol {
-	case ProtocolDiGS:
-		section(secDiGS, func(sw *writer) { encodeDiGSStacks(sw, s.DiGS) })
-	case ProtocolOrchestra:
-		section(secOrch, func(sw *writer) { encodeOrchStacks(sw, s.Orchestra) })
-	case ProtocolSDN:
-		section(secSDN, func(sw *writer) { encodeSDNStacks(sw, s.SDN) })
-	case ProtocolAdaptive:
-		section(secAdaptive, func(sw *writer) { encodeAdaptiveStacks(sw, s.Adaptive) })
+	if row.tag != "" {
+		section(row.tag, func(sw *writer) { err = encodeStacks(sw, row, s.Stacks) })
+		if err != nil {
+			return nil, err
+		}
 	}
 	if s.Metrics != nil {
 		section(secMetrics, func(sw *writer) { encodeCollector(sw, s.Metrics) })
@@ -137,18 +132,14 @@ func Decode(b []byte) (*Snapshot, error) {
 			s.Net = decodeNet(sr, ver)
 		case secMAC:
 			s.MACs = decodeMACs(sr)
-		case secDiGS:
-			s.DiGS = decodeDiGSStacks(sr)
-		case secOrch:
-			s.Orchestra = decodeOrchStacks(sr)
-		case secSDN:
-			s.SDN = decodeSDNStacks(sr)
-		case secAdaptive:
-			s.Adaptive = decodeAdaptiveStacks(sr)
 		case secMetrics:
 			s.Metrics = decodeCollector(sr)
 		default:
-			return nil, fmt.Errorf("snapshot: unknown section %q", tag)
+			row, ok := stackByTag[tag]
+			if !ok {
+				return nil, fmt.Errorf("snapshot: unknown section %q", tag)
+			}
+			s.Stacks = decodeStacks(sr, row)
 		}
 		if sr.err != nil {
 			return nil, fmt.Errorf("snapshot: section %q: %w", tag, sr.err)
@@ -180,29 +171,17 @@ func validate(s *Snapshot, seen map[string]bool) error {
 	if len(s.MACs) != s.Meta.Nodes+1 {
 		return fmt.Errorf("snapshot: %d MAC entries for %d nodes", len(s.MACs), s.Meta.Nodes)
 	}
-	switch s.Meta.Protocol {
-	case ProtocolDiGS:
-		if !seen[secDiGS] || len(s.DiGS) != s.Meta.Nodes+1 {
-			return fmt.Errorf("snapshot: digs snapshot without matching stack section")
+	row, err := stackFor(s.Meta.Protocol)
+	if err != nil {
+		return err
+	}
+	for tag := range stackByTag {
+		if seen[tag] && tag != row.tag {
+			return fmt.Errorf("snapshot: %s snapshot with a %q stack section", s.Meta.Protocol, tag)
 		}
-	case ProtocolOrchestra:
-		if !seen[secOrch] || len(s.Orchestra) != s.Meta.Nodes+1 {
-			return fmt.Errorf("snapshot: orchestra snapshot without matching stack section")
-		}
-	case ProtocolSDN:
-		if !seen[secSDN] || len(s.SDN) != s.Meta.Nodes+1 {
-			return fmt.Errorf("snapshot: sdn snapshot without matching stack section")
-		}
-	case ProtocolAdaptive:
-		if !seen[secAdaptive] || len(s.Adaptive) != s.Meta.Nodes+1 {
-			return fmt.Errorf("snapshot: adaptive snapshot without matching stack section")
-		}
-	case ProtocolWHART:
-		if seen[secDiGS] || seen[secOrch] || seen[secSDN] || seen[secAdaptive] {
-			return fmt.Errorf("snapshot: whart snapshot with protocol stack section")
-		}
-	default:
-		return fmt.Errorf("snapshot: unknown protocol %q", s.Meta.Protocol)
+	}
+	if row.tag != "" && (!seen[row.tag] || len(s.Stacks) != s.Meta.Nodes+1) {
+		return fmt.Errorf("snapshot: %s snapshot without matching stack section", s.Meta.Protocol)
 	}
 	return nil
 }
@@ -721,30 +700,6 @@ func decodeDiGSStack(r *reader) *core.StackState {
 	return st
 }
 
-func encodeDiGSStacks(w *writer, stacks []*core.StackState) {
-	w.uvarint(uint64(len(stacks)))
-	for _, s := range stacks {
-		w.boolean(s != nil)
-		if s != nil {
-			encodeDiGSStack(w, s)
-		}
-	}
-}
-
-func decodeDiGSStacks(r *reader) []*core.StackState {
-	n := r.count(1)
-	out := make([]*core.StackState, n)
-	for i := range out {
-		if r.boolean() {
-			out[i] = decodeDiGSStack(r)
-		}
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // --- Orchestra stacks ---
 
 func encodeRPLRouter(w *writer, st *rpl.RouterState) {
@@ -826,30 +781,6 @@ func decodeOrchStack(r *reader) *orchestra.StackState {
 		}
 	}
 	return st
-}
-
-func encodeOrchStacks(w *writer, stacks []*orchestra.StackState) {
-	w.uvarint(uint64(len(stacks)))
-	for _, s := range stacks {
-		w.boolean(s != nil)
-		if s != nil {
-			encodeOrchStack(w, s)
-		}
-	}
-}
-
-func decodeOrchStacks(r *reader) []*orchestra.StackState {
-	n := r.count(1)
-	out := make([]*orchestra.StackState, n)
-	for i := range out {
-		if r.boolean() {
-			out[i] = decodeOrchStack(r)
-		}
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
 }
 
 // --- metrics ---

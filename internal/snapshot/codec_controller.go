@@ -163,30 +163,6 @@ func decodeSDNStack(r *reader) *controller.SDNStackState {
 	return st
 }
 
-func encodeSDNStacks(w *writer, stacks []*controller.SDNStackState) {
-	w.uvarint(uint64(len(stacks)))
-	for _, s := range stacks {
-		w.boolean(s != nil)
-		if s != nil {
-			encodeSDNStack(w, s)
-		}
-	}
-}
-
-func decodeSDNStacks(r *reader) []*controller.SDNStackState {
-	n := r.count(1)
-	out := make([]*controller.SDNStackState, n)
-	for i := range out {
-		if r.boolean() {
-			out[i] = decodeSDNStack(r)
-		}
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // --- adaptive stacks ---
 
 func encodeAdaptiveStack(w *writer, st *controller.AdaptiveStackState) {
@@ -254,28 +230,4 @@ func decodeAdaptiveStack(r *reader) *controller.AdaptiveStackState {
 		}
 	}
 	return st
-}
-
-func encodeAdaptiveStacks(w *writer, stacks []*controller.AdaptiveStackState) {
-	w.uvarint(uint64(len(stacks)))
-	for _, s := range stacks {
-		w.boolean(s != nil)
-		if s != nil {
-			encodeAdaptiveStack(w, s)
-		}
-	}
-}
-
-func decodeAdaptiveStacks(r *reader) []*controller.AdaptiveStackState {
-	n := r.count(1)
-	out := make([]*controller.AdaptiveStackState, n)
-	for i := range out {
-		if r.boolean() {
-			out[i] = decodeAdaptiveStack(r)
-		}
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
 }

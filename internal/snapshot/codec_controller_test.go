@@ -31,17 +31,17 @@ func testMACs(nodes int) []*mac.NodeState {
 	return out
 }
 
-// TestSDNStackStateRoundTrip drives every field of the SDN stack section
-// through the wire format: controller-only tables, bounded control queues
-// with source-routed frames, and the nil-vs-empty table distinctions.
-func TestSDNStackStateRoundTrip(t *testing.T) {
-	stacks := []*controller.SDNStackState{
+// synthSDN drives every field of the SDN stack section: controller-only
+// tables, bounded control queues with source-routed frames, and the
+// nil-vs-empty table distinctions.
+func synthSDN() *Snapshot {
+	stacks := []any{
 		nil,
-		{ // controller: collected reports, dissemination dedup, epochs
+		&controller.SDNStackState{ // controller: collected reports, dissemination dedup, epochs
 			Synced: true, OwnHops: 0,
 			HasHops: true, HasRSS: true,
-			Hops: []controller.SDNHopsState{{Node: 2, Hops: 1, Heard: 900}},
-			RSS: []controller.SDNRSSState{{Node: 2, RSS: -61.25, Heard: 901}, {Node: 3, RSS: -80, Heard: 800}},
+			Hops:         []controller.SDNHopsState{{Node: 2, Hops: 1, Heard: 900}},
+			RSS:          []controller.SDNRSSState{{Node: 2, RSS: -61.25, Heard: 901}, {Node: 3, RSS: -80, Heard: 800}},
 			NextMaintain: 1300, NextReport: 0,
 			CfgEpoch: 5, Parent: 0, Children: []topology.NodeID{2, 3},
 			CtrlQ: []controller.SDNCtrlState{
@@ -64,10 +64,10 @@ func TestSDNStackStateRoundTrip(t *testing.T) {
 				{Node: 3, Parent: 2},
 			},
 		},
-		{ // routed switch: configured parent, pending relay, fresh tables
+		&controller.SDNStackState{ // routed switch: configured parent, pending relay, fresh tables
 			Synced: true, Uplink: 1, OwnHops: 1,
 			HasHops: true, Hops: []controller.SDNHopsState{{Node: 1, Hops: 0, Heard: 1000}},
-			HasRSS:  true, RSS: []controller.SDNRSSState{{Node: 1, RSS: -55, Heard: 1000}},
+			HasRSS: true, RSS: []controller.SDNRSSState{{Node: 1, RSS: -55, Heard: 1000}},
 			NextMaintain: 1290, NextReport: 2100,
 			CfgEpoch: 5, Parent: 1, Children: []topology.NodeID{3},
 			ConsecParentFails: 3,
@@ -75,36 +75,20 @@ func TestSDNStackStateRoundTrip(t *testing.T) {
 				{Frame: mac.FrameState{Kind: 8, Src: 2, Dst: 1, Origin: 2, BornASN: 1280, Payload: []byte{1, 0, 0, 0, 1, 60}}},
 			},
 		},
-		{ // never-synced node: nil tables survive as nil
+		&controller.SDNStackState{ // never-synced node: nil tables survive as nil
 			OwnHops: 255,
 		},
 	}
-	snap := &Snapshot{
-		Meta: testMeta(ProtocolSDN, 3),
-		Net:  testNet(3),
-		MACs: testMACs(3),
-		SDN:  stacks,
-	}
-	wire, err := Encode(snap)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := Decode(wire)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(back.SDN, stacks) {
-		t.Fatalf("sdn stacks did not round-trip:\n got %+v\nwant %+v", back.SDN, stacks)
-	}
+	return &Snapshot{Meta: testMeta(ProtocolSDN, 3), Net: testNet(3), MACs: testMACs(3), Stacks: stacks}
 }
 
-// TestAdaptiveStackStateRoundTrip drives the adaptive allocator's section:
-// RPL/trickle state, the cell budget counters, and both caches with their
-// nil-vs-empty distinction.
-func TestAdaptiveStackStateRoundTrip(t *testing.T) {
-	stacks := []*controller.AdaptiveStackState{
+// synthAdaptive drives the adaptive allocator's section: RPL/trickle
+// state, the cell budget counters, and both caches with their nil-vs-empty
+// distinction.
+func synthAdaptive() *Snapshot {
+	stacks := []any{
 		nil,
-		{
+		&controller.AdaptiveStackState{
 			Router:   rpl.RouterState{Rank: 4, Parent: 0},
 			Trickle:  trickle.State{Interval: 100, Started: true},
 			RNGDraws: 17,
@@ -115,7 +99,7 @@ func TestAdaptiveStackStateRoundTrip(t *testing.T) {
 			HasChildCells:    true,
 			ChildCells:       []controller.AdaptiveChildCellState{{Slot: 74, Node: 2}, {Slot: 111, Node: 3}},
 		},
-		{
+		&controller.AdaptiveStackState{
 			Router:  rpl.RouterState{Rank: 8, Parent: 1},
 			Trickle: trickle.State{Interval: 200},
 			// Nil caches and an empty-but-refreshed child cache both
@@ -124,12 +108,13 @@ func TestAdaptiveStackStateRoundTrip(t *testing.T) {
 			TxCells:       1,
 		},
 	}
-	snap := &Snapshot{
-		Meta:     testMeta(ProtocolAdaptive, 2),
-		Net:      testNet(2),
-		MACs:     testMACs(2),
-		Adaptive: stacks,
-	}
+	return &Snapshot{Meta: testMeta(ProtocolAdaptive, 2), Net: testNet(2), MACs: testMACs(2), Stacks: stacks}
+}
+
+// stacksRoundTrip checks that a snapshot's stack states survive the wire
+// format field for field, and that re-encoding is canonical.
+func stacksRoundTrip(t *testing.T, snap *Snapshot) {
+	t.Helper()
 	wire, err := Encode(snap)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
@@ -138,19 +123,23 @@ func TestAdaptiveStackStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if !reflect.DeepEqual(back.Adaptive, stacks) {
-		t.Fatalf("adaptive stacks did not round-trip:\n got %+v\nwant %+v", back.Adaptive, stacks)
+	if !reflect.DeepEqual(back.Stacks, snap.Stacks) {
+		t.Fatalf("%s stacks did not round-trip:\n got %+v\nwant %+v", snap.Meta.Protocol, back.Stacks, snap.Stacks)
 	}
+	roundTrip(t, snap)
 }
+
+func TestSDNStackStateRoundTrip(t *testing.T)      { stacksRoundTrip(t, synthSDN()) }
+func TestAdaptiveStackStateRoundTrip(t *testing.T) { stacksRoundTrip(t, synthAdaptive()) }
 
 // TestValidateControllerSections rejects snapshots whose protocol and stack
 // sections disagree.
 func TestValidateControllerSections(t *testing.T) {
 	snap := &Snapshot{
-		Meta: testMeta(ProtocolSDN, 2),
-		Net:  testNet(2),
-		MACs: testMACs(2),
-		SDN:  []*controller.SDNStackState{nil, {}}, // 2 entries for 2 nodes: wrong
+		Meta:   testMeta(ProtocolSDN, 2),
+		Net:    testNet(2),
+		MACs:   testMACs(2),
+		Stacks: []any{nil, &controller.SDNStackState{}}, // 2 entries for 2 nodes: wrong
 	}
 	if _, err := Encode(snap); err != nil {
 		t.Fatalf("encode: %v", err)

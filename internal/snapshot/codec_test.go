@@ -25,7 +25,7 @@ import (
 func synthDiGS() *Snapshot {
 	nodes := 3
 	macs := make([]*mac.NodeState, nodes+1)
-	stacks := make([]*core.StackState, nodes+1)
+	stacks := make([]any, nodes+1)
 	for i := 1; i <= nodes; i++ {
 		macs[i] = &mac.NodeState{
 			Synced: true, SyncedAt: int64(10 * i), LastRx: int64(100 * i),
@@ -77,8 +77,8 @@ func synthDiGS() *Snapshot {
 			DriftProb:         []float64{0, 0.001, 0.002, 0},
 			DriftSeed:         []uint64{0, 7, 8, 9},
 		},
-		MACs: macs,
-		DiGS: stacks,
+		MACs:   macs,
+		Stacks: stacks,
 		Metrics: &metrics.CollectorState{
 			Sent:        []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 100}, {Flow: 1, Seq: 2, ASN: 200}},
 			Delivered:   []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 140}},
@@ -90,7 +90,6 @@ func synthDiGS() *Snapshot {
 func synthOrchestra() *Snapshot {
 	s := synthDiGS()
 	s.Meta.Protocol = ProtocolOrchestra
-	s.DiGS = nil
 	stacks := make([]*orchestra.StackState, s.Meta.Nodes+1)
 	for i := 1; i <= s.Meta.Nodes; i++ {
 		stacks[i] = &orchestra.StackState{
@@ -110,14 +109,17 @@ func synthOrchestra() *Snapshot {
 	stacks[2].HasChildSlots = true
 	stacks[3].HasChildSlots = true
 	stacks[3].ChildSlots = []orchestra.ChildSlotState{{Slot: 4, Node: 2}, {Slot: 9, Node: 1}}
-	s.Orchestra = stacks
+	s.Stacks = make([]any, len(stacks))
+	for i, st := range stacks[1:] {
+		s.Stacks[i+1] = st
+	}
 	return s
 }
 
 func synthWHART() *Snapshot {
 	s := synthDiGS()
 	s.Meta.Protocol = ProtocolWHART
-	s.DiGS = nil
+	s.Stacks = nil
 	s.Metrics = nil
 	return s
 }
@@ -149,9 +151,49 @@ func roundTrip(t *testing.T, s *Snapshot) {
 	}
 }
 
+// synths holds one synthetic snapshot per stack-table row; the fuzzer
+// seeds from all of them.
+var synths = map[string]func() *Snapshot{
+	ProtocolDiGS:      synthDiGS,
+	ProtocolOrchestra: synthOrchestra,
+	ProtocolWHART:     synthWHART,
+	ProtocolSDN:       synthSDN,
+	ProtocolAdaptive:  synthAdaptive,
+}
+
 func TestRoundTripDiGS(t *testing.T)      { roundTrip(t, synthDiGS()) }
 func TestRoundTripOrchestra(t *testing.T) { roundTrip(t, synthOrchestra()) }
 func TestRoundTripWHART(t *testing.T)     { roundTrip(t, synthWHART()) }
+
+// TestDecodeRejectsForeignStackSection splices every other stack's section
+// into each protocol's snapshot (checksum recomputed): a stack section is
+// accepted only under the tag of Meta.Protocol's row.
+func TestDecodeRejectsForeignStackSection(t *testing.T) {
+	for proto, synth := range synths {
+		b, err := Encode(synth())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := b[:len(b)-5] // drop the CRC and the empty terminator tag
+		for other, row := range stackTable {
+			if other == proto || row.tag == "" {
+				continue
+			}
+			var sw writer
+			if err := encodeStacks(&sw, row, synths[other]().Stacks); err != nil {
+				t.Fatal(err)
+			}
+			w := &writer{buf: append([]byte(nil), body...)}
+			w.str(row.tag)
+			w.bytes(sw.buf)
+			w.str("")
+			w.buf = binary.BigEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(w.buf))
+			if _, err := Decode(w.buf); err == nil {
+				t.Errorf("%s snapshot with a stray %q section decoded", proto, row.tag)
+			}
+		}
+	}
+}
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	b, err := Encode(synthDiGS())
@@ -200,7 +242,7 @@ func TestDiffReportsDivergence(t *testing.T) {
 		t.Fatalf("identical snapshots diff: %v", d)
 	}
 	b.MACs[2].CoinState++
-	b.DiGS[1].Router.Rank = 99
+	b.Stacks[1].(*core.StackState).Router.Rank = 99
 	d := Diff(a, b)
 	if len(d) != 2 {
 		t.Fatalf("want 2 diff lines, got %d: %v", len(d), d)

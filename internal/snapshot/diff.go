@@ -42,18 +42,12 @@ func Diff(a, b *Snapshot) []string {
 			diffStruct(add, fmt.Sprintf("mac[%d]", i), a.MACs[i], b.MACs[i])
 		}
 	}
-	if len(a.DiGS) != len(b.DiGS) {
-		add("digs: %d vs %d stacks", len(a.DiGS), len(b.DiGS))
+	tag := stackTag(a.Meta.Protocol)
+	if len(a.Stacks) != len(b.Stacks) {
+		add("%s: %d vs %d stacks", tag, len(a.Stacks), len(b.Stacks))
 	} else {
-		for i := 1; i < len(a.DiGS); i++ {
-			diffStruct(add, fmt.Sprintf("digs[%d]", i), a.DiGS[i], b.DiGS[i])
-		}
-	}
-	if len(a.Orchestra) != len(b.Orchestra) {
-		add("orch: %d vs %d stacks", len(a.Orchestra), len(b.Orchestra))
-	} else {
-		for i := 1; i < len(a.Orchestra); i++ {
-			diffStruct(add, fmt.Sprintf("orch[%d]", i), a.Orchestra[i], b.Orchestra[i])
+		for i := 1; i < len(a.Stacks); i++ {
+			diffStruct(add, fmt.Sprintf("%s[%d]", tag, i), a.Stacks[i], b.Stacks[i])
 		}
 	}
 	diffStruct(add, "metrics", a.Metrics, b.Metrics)
@@ -134,19 +128,14 @@ func Summary(s *Snapshot) string {
 		queued += len(m.Queue) + len(m.DownQueue)
 	}
 	fmt.Fprintf(&b, "mac:         %d/%d synced, %d packets queued\n", synced, s.Meta.Nodes, queued)
-	joined := 0
-	for _, st := range s.DiGS {
-		if st != nil && st.Router.HasParentedAt {
-			joined++
+	if row := stackTable[s.Meta.Protocol]; row.tag != "" {
+		parented := 0
+		for _, st := range s.Stacks {
+			if st != nil && row.parented(st) {
+				parented++
+			}
 		}
-	}
-	for _, st := range s.Orchestra {
-		if st != nil && st.Router.HasParentedAt {
-			joined++
-		}
-	}
-	if s.Meta.Protocol != ProtocolWHART {
-		fmt.Fprintf(&b, "routing:     %d/%d ever parented\n", joined, s.Meta.Nodes-s.Meta.NumAPs)
+		fmt.Fprintf(&b, "routing:     %d/%d ever parented\n", parented, s.Meta.Nodes-s.Meta.NumAPs)
 	}
 	if s.Metrics != nil {
 		fmt.Fprintf(&b, "metrics:     %d sent, %d delivered in window\n", len(s.Metrics.Sent), len(s.Metrics.Delivered))

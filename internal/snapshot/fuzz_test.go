@@ -2,16 +2,26 @@ package snapshot
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 )
 
 // FuzzDecodeSnapshot hammers the decoder with arbitrary bytes: corrupt,
 // truncated and version-skewed inputs must return an error, never panic,
 // and anything that does decode must re-encode canonically (encode ∘
-// decode is a fixed point).
+// decode is a fixed point). It seeds from every stack-table row.
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, synth := range []*Snapshot{synthDiGS(), synthOrchestra(), synthWHART()} {
-		b, err := Encode(synth)
+	protos := make([]string, 0, len(stackTable))
+	for proto := range stackTable {
+		protos = append(protos, proto)
+	}
+	sort.Strings(protos)
+	for _, proto := range protos {
+		synth, ok := synths[proto]
+		if !ok {
+			f.Fatalf("no synthetic %s snapshot to seed the fuzzer from", proto)
+		}
+		b, err := Encode(synth())
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -18,13 +18,9 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"github.com/digs-net/digs/internal/controller"
-	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/whart"
 )
 
 // Protocol identifiers stored in snapshot metadata.
@@ -70,12 +66,12 @@ type Snapshot struct {
 	Net  *sim.NetworkState
 	// MACs is indexed by node ID (entry 0 nil), length Nodes+1.
 	MACs []*mac.NodeState
-	// Exactly one of DiGS/Orchestra/SDN/Adaptive is populated for those
-	// protocols; the WirelessHART stack is stateless beyond its MAC nodes.
-	DiGS      []*core.StackState
-	Orchestra []*orchestra.StackState
-	SDN       []*controller.SDNStackState
-	Adaptive  []*controller.AdaptiveStackState
+	// Stacks holds every node's protocol-stack state, indexed by node ID
+	// (entry 0 nil), length Nodes+1. The element type is the stack's own
+	// state struct (*core.StackState for digs, and so on; see stackTable).
+	// It is nil for stacks without a section: the WirelessHART stack is
+	// stateless beyond its MAC nodes.
+	Stacks []any
 	// Metrics optionally carries an in-window collector (snapshots taken
 	// mid-measurement).
 	Metrics *metrics.CollectorState
@@ -121,17 +117,44 @@ func restoreMACs(nodes []*mac.Node, states []*mac.NodeState) error {
 	return nil
 }
 
-func fillMeta(meta Meta, proto string, nw *sim.Network) Meta {
-	meta.Protocol = proto
+// Take captures a complete scenario at the current slot: the simulated
+// network, every MAC node and, through the stack-table row for
+// meta.Protocol, every node's protocol stack. The node count, AP count
+// and slot are filled in from nw.
+func Take(meta Meta, nw *sim.Network, net *mac.Network) (*Snapshot, error) {
+	row, err := stackFor(meta.Protocol)
+	if err != nil {
+		return nil, err
+	}
+	netSt, err := nw.CaptureState()
+	if err != nil {
+		return nil, err
+	}
 	meta.Nodes = nw.Topology().N()
 	meta.NumAPs = nw.Topology().NumAPs
 	meta.Slot = nw.ASN()
-	return meta
+	s := &Snapshot{Meta: meta, Net: netSt}
+	if row.tag != "" {
+		s.Stacks = make([]any, len(net.Nodes))
+		for i, node := range net.Nodes {
+			if node == nil {
+				continue
+			}
+			if s.Stacks[i], err = row.capture(net.Stack(i)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	s.MACs = captureMACs(net.Nodes)
+	return s, nil
 }
 
-func (s *Snapshot) checkRestore(proto string, nw *sim.Network) error {
-	if s.Meta.Protocol != proto {
-		return fmt.Errorf("snapshot: restoring %q snapshot into a %s scenario", s.Meta.Protocol, proto)
+// Restore overlays the snapshot onto a freshly built scenario of the same
+// protocol, topology, configuration and seeds.
+func (s *Snapshot) Restore(nw *sim.Network, net *mac.Network) error {
+	row, err := stackFor(s.Meta.Protocol)
+	if err != nil {
+		return err
 	}
 	if s.Meta.Nodes != nw.Topology().N() {
 		return fmt.Errorf("snapshot: %d nodes in snapshot, topology has %d", s.Meta.Nodes, nw.Topology().N())
@@ -139,162 +162,28 @@ func (s *Snapshot) checkRestore(proto string, nw *sim.Network) error {
 	if s.Net == nil {
 		return fmt.Errorf("snapshot: missing network section")
 	}
+	if err := nw.RestoreState(s.Net); err != nil {
+		return err
+	}
+	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
+		return err
+	}
+	if row.tag == "" {
+		return nil
+	}
+	if len(s.Stacks) != len(net.Nodes) {
+		return fmt.Errorf("%s restore: %d stack states for %d nodes", s.Meta.Protocol, len(s.Stacks), len(net.Nodes))
+	}
+	for i, node := range net.Nodes {
+		if node == nil {
+			continue
+		}
+		if s.Stacks[i] == nil {
+			return fmt.Errorf("%s restore: missing state for node %d", s.Meta.Protocol, i)
+		}
+		if err := row.restore(net.Stack(i), s.Stacks[i]); err != nil {
+			return err
+		}
+	}
 	return nil
-}
-
-// TakeDiGS captures a complete DiGS scenario at the current slot.
-func TakeDiGS(meta Meta, nw *sim.Network, net *core.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolDiGS, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-		DiGS: stacks,
-	}, nil
-}
-
-// RestoreDiGS overlays the snapshot onto a freshly built DiGS scenario.
-func (s *Snapshot) RestoreDiGS(nw *sim.Network, net *core.Network) error {
-	if err := s.checkRestore(ProtocolDiGS, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.DiGS)
-}
-
-// TakeOrchestra captures a complete Orchestra scenario at the current slot.
-func TakeOrchestra(meta Meta, nw *sim.Network, net *orchestra.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta:      fillMeta(meta, ProtocolOrchestra, nw),
-		Net:       netSt,
-		MACs:      captureMACs(net.Nodes),
-		Orchestra: stacks,
-	}, nil
-}
-
-// RestoreOrchestra overlays the snapshot onto a freshly built Orchestra
-// scenario.
-func (s *Snapshot) RestoreOrchestra(nw *sim.Network, net *orchestra.Network) error {
-	if err := s.checkRestore(ProtocolOrchestra, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.Orchestra)
-}
-
-// TakeWHART captures a complete WirelessHART scenario at the current slot.
-// The centrally computed stack is stateless, so MAC state is all there is.
-func TakeWHART(meta Meta, nw *sim.Network, net *whart.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolWHART, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-	}, nil
-}
-
-// RestoreWHART overlays the snapshot onto a freshly built WirelessHART
-// scenario.
-func (s *Snapshot) RestoreWHART(nw *sim.Network, net *whart.Network) error {
-	if err := s.checkRestore(ProtocolWHART, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	return restoreMACs(net.Nodes, s.MACs)
-}
-
-// TakeSDN captures a complete SDN scenario at the current slot.
-func TakeSDN(meta Meta, nw *sim.Network, net *controller.SDNNetwork) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolSDN, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-		SDN:  stacks,
-	}, nil
-}
-
-// RestoreSDN overlays the snapshot onto a freshly built SDN scenario.
-func (s *Snapshot) RestoreSDN(nw *sim.Network, net *controller.SDNNetwork) error {
-	if err := s.checkRestore(ProtocolSDN, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.SDN)
-}
-
-// TakeAdaptive captures a complete adaptive-allocator scenario at the
-// current slot.
-func TakeAdaptive(meta Meta, nw *sim.Network, net *controller.AdaptiveNetwork) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta:     fillMeta(meta, ProtocolAdaptive, nw),
-		Net:      netSt,
-		MACs:     captureMACs(net.Nodes),
-		Adaptive: stacks,
-	}, nil
-}
-
-// RestoreAdaptive overlays the snapshot onto a freshly built adaptive
-// scenario.
-func (s *Snapshot) RestoreAdaptive(nw *sim.Network, net *controller.AdaptiveNetwork) error {
-	if err := s.checkRestore(ProtocolAdaptive, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.Adaptive)
 }

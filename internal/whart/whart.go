@@ -41,14 +41,6 @@ type Routes struct {
 // APs). It fails if some device is unreachable.
 func ComputeGraphRoutes(topo *topology.Topology) (*Routes, error) {
 	n := topo.N()
-	dist := make([]float64, n+1)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	for _, ap := range topo.APs() {
-		dist[ap] = 0
-	}
-
 	linkETX := func(a, b topology.NodeID) (float64, bool) {
 		prr := topo.PRR(a, b)
 		if prr < usablePRR {
@@ -58,29 +50,13 @@ func ComputeGraphRoutes(topo *topology.Topology) (*Routes, error) {
 	}
 
 	// Dijkstra over the usable-link graph.
-	done := make([]bool, n+1)
-	for {
-		u := -1
-		for i := 1; i <= n; i++ {
-			if !done[i] && (u == -1 || dist[i] < dist[u]) {
-				u = i
+	dist, _ := topology.ShortestPaths(n+1, topo.APs(), func(u topology.NodeID, relax func(topology.NodeID, float64)) {
+		for v := topology.NodeID(1); int(v) <= n; v++ {
+			if w, ok := linkETX(u, v); ok {
+				relax(v, w)
 			}
 		}
-		if u == -1 || math.IsInf(dist[u], 1) {
-			break
-		}
-		done[u] = true
-		for v := 1; v <= n; v++ {
-			if done[v] || v == u {
-				continue
-			}
-			if w, ok := linkETX(topology.NodeID(u), topology.NodeID(v)); ok {
-				if d := dist[u] + w; d < dist[v] {
-					dist[v] = d
-				}
-			}
-		}
-	}
+	})
 
 	routes := &Routes{
 		Best:    make([]topology.NodeID, n+1),
